@@ -15,6 +15,7 @@
 use std::process::ExitCode;
 
 use approx_arith::{AccuracyLevel, QcsContext};
+use approx_linalg::CsrMatrix;
 use approxit::{
     characterize, AdaptiveAngleStrategy, IncrementalStrategy, PidStrategy, ReconfigStrategy,
     RunConfig, RunReport, SingleMode,
@@ -22,7 +23,8 @@ use approxit::{
 use approxit_bench::cli::BenchOpts;
 use approxit_bench::render::{fmt_value, render_table};
 use approxit_bench::{ar_specs, gmm_specs, shared_profile};
-use iter_solvers::{IterativeMethod, KMeans, PoissonJacobi, PoissonSource};
+use iter_solvers::datasets::PoissonSource;
+use iter_solvers::{IterativeMethod, Jacobi, KMeans};
 
 struct Options {
     method: String,
@@ -182,13 +184,9 @@ fn main() -> ExitCode {
             drive(&km, &options)
         }
         "poisson" => {
-            let pde = PoissonJacobi::new(
-                options.grid,
-                PoissonSource::Sine { amplitude: 8.0 },
-                0.9,
-                1e-7,
-                5000,
-            );
+            let n = options.grid;
+            let b = PoissonSource::Sine { amplitude: 8.0 }.rhs(n);
+            let pde = Jacobi::new(CsrMatrix::poisson5(n, n), b, 0.9, 1e-7, 5000);
             drive(&pde, &options)
         }
         other => {

@@ -85,11 +85,5 @@ pub use gate::GateKind;
 pub use lint::{LintConfig, LintDiagnostic, LintPass, LintReport, Severity};
 pub use netlist::{Netlist, Node, NodeId};
 pub use packed::PackedSimulator;
-pub use par::Executor;
-/// Deterministic parallel execution, re-exported from the shared
-/// [`parx`] crate (the executor graduated out of gatesim once the
-/// online solver paths started using it too). `gatesim::par::...`
-/// paths keep working; new code should depend on `parx` directly.
-pub use parx as par;
 pub use sim::Simulator;
 pub use stats::ActivityReport;

@@ -54,8 +54,8 @@ use crate::energy::EnergyModel;
 use crate::error::SimulateError;
 use crate::gate::GateKind;
 use crate::netlist::Netlist;
-use crate::par::Executor;
 use crate::stats::ActivityReport;
+use parx::Executor;
 
 /// Number of patterns (lanes) carried per machine word.
 pub const LANES: usize = 64;

@@ -10,8 +10,8 @@
 
 use gatesim::builders;
 use gatesim::packed::{exhaustive_input_words, pack_vectors, trace_toggles, LANES};
-use gatesim::par::Executor;
 use gatesim::{EnergyModel, Netlist, PackedSimulator, Simulator};
+use parx::Executor;
 
 /// SplitMix64 — deterministic stream for netlist and stimulus generation.
 struct Rng(u64);

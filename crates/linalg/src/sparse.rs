@@ -133,11 +133,9 @@ impl CsrMatrix {
     /// ordering: diagonal `4`, the four grid neighbours `−1`.
     ///
     /// This is the *unscaled* stencil `h²·(−Δ)`: a Poisson right-hand
-    /// side `f` enters the system as `b = h²·f`, matching
-    /// [`PoissonJacobi`]-style formulations where the grid constant is
-    /// folded into `b` rather than the operator.
-    ///
-    /// [`PoissonJacobi`]: https://docs.rs/iter-solvers
+    /// side `f` enters the system as `b = h²·f` (the grid constant is
+    /// folded into `b` rather than the operator), which is what
+    /// `iter_solvers::datasets::PoissonSource::rhs` returns.
     ///
     /// # Panics
     /// Panics if either grid dimension is 0.

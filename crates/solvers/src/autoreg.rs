@@ -243,24 +243,12 @@ impl IterativeMethod for AutoRegression {
 mod tests {
     use super::*;
     use crate::datasets::ar_series;
+    use crate::method::run_to_convergence as run;
     use crate::metrics::l2_error;
     use approx_arith::{AccuracyLevel, ArithContext, EnergyProfile, ExactContext, QcsContext};
 
     fn profile() -> EnergyProfile {
         EnergyProfile::from_constants([1.0, 2.0, 3.0, 4.0, 5.0], 50.0, 100.0)
-    }
-
-    fn run<M: IterativeMethod>(m: &M, ctx: &mut dyn ArithContext) -> (M::State, usize) {
-        let mut state = m.initial_state();
-        for i in 0..m.max_iterations() {
-            let next = m.step(&state, ctx);
-            let done = m.converged(&state, &next);
-            state = next;
-            if done {
-                return (state, i + 1);
-            }
-        }
-        (state, m.max_iterations())
     }
 
     #[test]

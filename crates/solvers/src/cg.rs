@@ -211,6 +211,7 @@ impl<A: LinearOperator> IterativeMethod for ConjugateGradient<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::run_to_convergence as run;
     use approx_arith::{AccuracyLevel, ArithContext, EnergyProfile, ExactContext, QcsContext};
 
     fn profile() -> EnergyProfile {
@@ -229,19 +230,6 @@ mod tests {
         }
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.5).collect();
         (a, b)
-    }
-
-    fn run<M: IterativeMethod>(m: &M, ctx: &mut dyn ArithContext) -> (M::State, usize) {
-        let mut state = m.initial_state();
-        for i in 0..m.max_iterations() {
-            let next = m.step(&state, ctx);
-            let done = m.converged(&state, &next);
-            state = next;
-            if done {
-                return (state, i + 1);
-            }
-        }
-        (state, m.max_iterations())
     }
 
     #[test]

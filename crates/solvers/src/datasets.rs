@@ -289,6 +289,106 @@ pub fn ring_with_chords(n: usize, chords: usize, seed: u64) -> CsrMatrix {
     CsrMatrix::from_triplets(n, n, &triplets)
 }
 
+/// Right-hand sides for the 2-D Poisson problem `−Δu = f` on the unit
+/// square with homogeneous Dirichlet boundaries — the finite-difference
+/// workload the paper's introduction motivates. Paired with the
+/// unscaled 5-point stencil [`CsrMatrix::poisson5`] on an `n × n`
+/// interior grid (spacing `h = 1/(n+1)`, row-major unknowns), the
+/// system is `A u = b` with `b = h²·f`.
+///
+/// # Example
+///
+/// ```
+/// use approx_arith::ExactContext;
+/// use approx_linalg::CsrMatrix;
+/// use iter_solvers::datasets::PoissonSource;
+/// use iter_solvers::{IterativeMethod, Jacobi};
+///
+/// let source = PoissonSource::Sine { amplitude: 8.0 };
+/// let pde = Jacobi::new(CsrMatrix::poisson5(15, 15), source.rhs(15), 0.8, 1e-7, 2000);
+/// let mut ctx = ExactContext::new();
+/// let mut u = pde.initial_state();
+/// for _ in 0..500 {
+///     u = pde.step(&u, &mut ctx);
+/// }
+/// // The center value approaches the analytic peak (8.0).
+/// let center = u[(15 * 15) / 2];
+/// assert!((center - 8.0).abs() < 0.5, "center {center}");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PoissonSource {
+    /// `f(x, y) = 2π²·amplitude·sin(πx)sin(πy)` — the smooth benchmark
+    /// with the closed-form solution `u = amplitude·sin(πx)sin(πy)`.
+    Sine {
+        /// Peak of the analytic solution.
+        amplitude: f64,
+    },
+    /// A point load at the grid node nearest `(x, y)`.
+    Point {
+        /// Load position, in `[0, 1]²`.
+        x: f64,
+        /// Load position, in `[0, 1]²`.
+        y: f64,
+        /// Load strength.
+        strength: f64,
+    },
+}
+
+impl PoissonSource {
+    /// The scaled right-hand side `b = h²·f` on an `n × n` interior
+    /// grid (row-major), computed once in `f64`.
+    ///
+    /// # Panics
+    /// Panics if `n` is 0.
+    #[must_use]
+    pub fn rhs(&self, n: usize) -> Vec<f64> {
+        assert!(n > 0, "grid must be non-empty");
+        let h = 1.0 / (n + 1) as f64;
+        let mut f = vec![0.0; n * n];
+        match *self {
+            Self::Sine { amplitude } => {
+                let pi = std::f64::consts::PI;
+                for (idx, fi) in f.iter_mut().enumerate() {
+                    let (x, y) = grid_point(idx, n, h);
+                    *fi = 2.0 * pi * pi * amplitude * (pi * x).sin() * (pi * y).sin();
+                }
+            }
+            Self::Point { x, y, strength } => {
+                let j = ((x / h).round() as usize).clamp(1, n) - 1;
+                let i = ((y / h).round() as usize).clamp(1, n) - 1;
+                f[i * n + j] = strength / (h * h);
+            }
+        }
+        f.iter().map(|&fi| h * h * fi).collect()
+    }
+
+    /// The analytic solution sampled on an `n × n` interior grid, when
+    /// the source has one (`Sine`); used to report the true
+    /// discretization error.
+    #[must_use]
+    pub fn analytic_solution(&self, n: usize) -> Option<Vec<f64>> {
+        let Self::Sine { amplitude } = *self else {
+            return None;
+        };
+        let h = 1.0 / (n + 1) as f64;
+        let pi = std::f64::consts::PI;
+        Some(
+            (0..n * n)
+                .map(|idx| {
+                    let (x, y) = grid_point(idx, n, h);
+                    amplitude * (pi * x).sin() * (pi * y).sin()
+                })
+                .collect(),
+        )
+    }
+}
+
+/// Coordinates `(x, y)` of row-major interior node `idx` on an `n × n`
+/// grid with spacing `h`.
+fn grid_point(idx: usize, n: usize, h: f64) -> (f64, f64) {
+    ((idx % n + 1) as f64 * h, (idx / n + 1) as f64 * h)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

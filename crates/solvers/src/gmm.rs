@@ -362,6 +362,7 @@ impl IterativeMethod for GaussianMixture {
 mod tests {
     use super::*;
     use crate::datasets::gaussian_blobs;
+    use crate::method::run_to_convergence as run;
     use crate::metrics::hamming_distance;
     use approx_arith::{AccuracyLevel, EnergyProfile, ExactContext, QcsContext};
 
@@ -377,19 +378,6 @@ mod tests {
             &[0.9, 0.8, 1.0],
             11,
         )
-    }
-
-    fn run<M: IterativeMethod>(m: &M, ctx: &mut dyn ArithContext) -> (M::State, usize) {
-        let mut state = m.initial_state();
-        for i in 0..m.max_iterations() {
-            let next = m.step(&state, ctx);
-            let done = m.converged(&state, &next);
-            state = next;
-            if done {
-                return (state, i + 1);
-            }
-        }
-        (state, m.max_iterations())
     }
 
     #[test]

@@ -121,24 +121,12 @@ impl<O: Objective> IterativeMethod for GradientDescent<O> {
 mod tests {
     use super::*;
     use crate::functions::{Quadratic, Rosenbrock};
+    use crate::method::run_to_convergence as run;
     use approx_arith::{AccuracyLevel, EnergyProfile, ExactContext, QcsContext};
     use approx_linalg::Matrix;
 
     fn profile() -> EnergyProfile {
         EnergyProfile::from_constants([1.0, 2.0, 3.0, 4.0, 5.0], 50.0, 100.0)
-    }
-
-    fn run<M: IterativeMethod>(m: &M, ctx: &mut dyn ArithContext) -> (M::State, usize) {
-        let mut state = m.initial_state();
-        for i in 0..m.max_iterations() {
-            let next = m.step(&state, ctx);
-            let done = m.converged(&state, &next);
-            state = next;
-            if done {
-                return (state, i + 1);
-            }
-        }
-        (state, m.max_iterations())
     }
 
     #[test]

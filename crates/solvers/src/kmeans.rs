@@ -195,6 +195,7 @@ impl IterativeMethod for KMeans {
 mod tests {
     use super::*;
     use crate::datasets::gaussian_blobs;
+    use crate::method::run_to_convergence as run;
     use crate::metrics::hamming_distance;
     use approx_arith::{EnergyProfile, ExactContext};
 
@@ -211,20 +212,6 @@ mod tests {
             41,
         )
     }
-
-    fn run<M: IterativeMethod>(m: &M, ctx: &mut dyn ArithContext) -> (M::State, usize) {
-        let mut state = m.initial_state();
-        for i in 0..m.max_iterations() {
-            let next = m.step(&state, ctx);
-            let done = m.converged(&state, &next);
-            state = next;
-            if done {
-                return (state, i + 1);
-            }
-        }
-        (state, m.max_iterations())
-    }
-    use approx_arith::ArithContext;
 
     #[test]
     fn separates_two_far_blobs() {

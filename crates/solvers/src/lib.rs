@@ -31,11 +31,9 @@ mod jacobi;
 mod kmeans;
 mod logistic;
 mod method;
-mod multigrid;
 mod newton;
 mod opmultigrid;
 mod pagerank;
-mod poisson;
 
 pub mod contraction;
 pub mod datasets;
@@ -54,11 +52,9 @@ pub use jacobi::Jacobi;
 pub use kmeans::{KMeans, KMeansState};
 pub use logistic::LogisticIrls;
 pub use method::IterativeMethod;
-pub use multigrid::MultigridPoisson;
 pub use newton::NewtonMethod;
 pub use opmultigrid::{MgLevel, OperatorMultigrid};
 pub use pagerank::{PersonalizedPageRank, PprState};
-pub use poisson::{PoissonJacobi, PoissonSource, SweepMode};
 pub use ranges::{
     ar_range_model, cg_range_model, gmm_range_model, ArRangeSpec, CgRangeSpec, GmmRangeSpec,
     RangeModel,

@@ -206,6 +206,7 @@ impl IterativeMethod for LogisticIrls {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::run_to_convergence as run;
     use crate::rng::Pcg32;
     use approx_arith::{AccuracyLevel, ArithContext, EnergyProfile, ExactContext, QcsContext};
 
@@ -228,19 +229,6 @@ mod tests {
             }
         }
         LogisticIrls::new(features, labels, 1e-2, 1e-9, 100)
-    }
-
-    fn run<M: IterativeMethod>(m: &M, ctx: &mut dyn ArithContext) -> (M::State, usize) {
-        let mut state = m.initial_state();
-        for i in 0..m.max_iterations() {
-            let next = m.step(&state, ctx);
-            let done = m.converged(&state, &next);
-            state = next;
-            if done {
-                return (state, i + 1);
-            }
-        }
-        (state, m.max_iterations())
     }
 
     #[test]

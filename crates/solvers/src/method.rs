@@ -72,6 +72,36 @@ pub trait IterativeMethod {
     }
 }
 
+/// Step `m` from its initial state until `converged` fires or the
+/// iteration budget runs out; returns the final state and the number of
+/// steps taken. The reference loop the solver unit tests share.
+#[cfg(test)]
+pub(crate) fn run_to_convergence<M: IterativeMethod>(
+    m: &M,
+    ctx: &mut dyn ArithContext,
+) -> (M::State, usize) {
+    let mut state = m.initial_state();
+    for i in 0..m.max_iterations() {
+        let next = m.step(&state, ctx);
+        let done = m.converged(&state, &next);
+        state = next;
+        if done {
+            return (state, i + 1);
+        }
+    }
+    (state, m.max_iterations())
+}
+
+/// Largest elementwise `|a − b|`, the max-norm deviation the solver
+/// unit tests compare states with.
+#[cfg(test)]
+pub(crate) fn max_deviation(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0f64, f64::max)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,24 +144,12 @@ mod tests {
 
     #[test]
     fn trait_is_usable_generically() {
-        fn run<M: IterativeMethod>(m: &M, ctx: &mut dyn ArithContext) -> (M::State, usize) {
-            let mut state = m.initial_state();
-            for i in 0..m.max_iterations() {
-                let next = m.step(&state, ctx);
-                let done = m.converged(&state, &next);
-                state = next;
-                if done {
-                    return (state, i + 1);
-                }
-            }
-            (state, m.max_iterations())
-        }
         let mut ctx = ExactContext::with_profile(EnergyProfile::from_constants(
             [1.0, 2.0, 3.0, 4.0, 5.0],
             50.0,
             100.0,
         ));
-        let (x, iters) = run(&Halver, &mut ctx);
+        let (x, iters) = run_to_convergence(&Halver, &mut ctx);
         assert!(x < 1e-8);
         assert!(iters < 100);
         assert!(Halver.gradient(&x).is_none());

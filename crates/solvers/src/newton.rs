@@ -98,6 +98,7 @@ impl<O: Objective> IterativeMethod for NewtonMethod<O> {
 mod tests {
     use super::*;
     use crate::functions::{Quadratic, Rosenbrock};
+    use crate::method::run_to_convergence as run;
     use approx_arith::{EnergyProfile, ExactContext};
     use approx_linalg::Matrix;
 
@@ -107,19 +108,6 @@ mod tests {
             50.0,
             100.0,
         ))
-    }
-
-    fn run<M: IterativeMethod>(m: &M, ctx: &mut dyn ArithContext) -> (M::State, usize) {
-        let mut state = m.initial_state();
-        for i in 0..m.max_iterations() {
-            let next = m.step(&state, ctx);
-            let done = m.converged(&state, &next);
-            state = next;
-            if done {
-                return (state, i + 1);
-            }
-        }
-        (state, m.max_iterations())
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! Algebraic multigrid V-cycles over [`LinearOperator`] hierarchies.
 //!
-//! The geometric [`MultigridPoisson`](crate::MultigridPoisson) hard
-//! codes the 5-point stencil, its transfers and its recursion on grid
-//! geometry. [`OperatorMultigrid`] is the operator-generic counterpart:
-//! every ingredient of the V-cycle — the per-level system, the
+//! Every ingredient of the V-cycle — the per-level system, the
 //! restriction and the prolongation — is itself a [`LinearOperator`],
 //! so the cycle is nothing but matvecs, damped-Jacobi smoothing via the
 //! [`diagonal`](LinearOperator::diagonal) probe, and slice-kernel
-//! vector updates. A Poisson constructor builds the classical
-//! full-weighting/bilinear hierarchy out of [`CsrMatrix`] operators.
+//! vector updates. [`OperatorMultigrid::poisson`] builds the classical
+//! full-weighting/bilinear hierarchy for the paper's PDE workload out
+//! of [`CsrMatrix`] operators.
 
 use approx_arith::ArithContext;
 use approx_linalg::{vector, CsrMatrix, LinearOperator};
 
+use crate::datasets::PoissonSource;
 use crate::method::IterativeMethod;
-use crate::poisson::{PoissonJacobi, PoissonSource};
 
 /// One level of a multigrid hierarchy: the system operator plus the
 /// transfers to and from the next coarser level (`None` on the
@@ -44,7 +42,8 @@ pub struct MgLevel<A> {
 ///
 /// ```
 /// use approx_arith::ExactContext;
-/// use iter_solvers::{IterativeMethod, OperatorMultigrid, PoissonSource};
+/// use iter_solvers::datasets::PoissonSource;
+/// use iter_solvers::{IterativeMethod, OperatorMultigrid};
 ///
 /// let mg = OperatorMultigrid::poisson(15, PoissonSource::Sine { amplitude: 8.0 }, 2, 1e-7, 50);
 /// let mut ctx = ExactContext::new();
@@ -219,7 +218,28 @@ impl OperatorMultigrid<CsrMatrix> {
     /// grid (homogeneous Dirichlet): unscaled 5-point stencils at every
     /// level ([`CsrMatrix::poisson5`]), full-weighting restriction with
     /// the inter-level factor 4 folded into its weights, bilinear
-    /// prolongation, and `b = h²·f` for the given source.
+    /// prolongation, and `b = h²·f` from [`PoissonSource::rhs`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use approx_arith::{EnergyProfile, ExactContext};
+    /// use iter_solvers::datasets::PoissonSource;
+    /// use iter_solvers::{IterativeMethod, OperatorMultigrid};
+    ///
+    /// let source = PoissonSource::Sine { amplitude: 8.0 };
+    /// let mg = OperatorMultigrid::poisson(15, source, 2, 1e-7, 50);
+    /// assert_eq!(mg.depth(), 4); // 15 → 7 → 3 → 1
+    /// let profile = EnergyProfile::from_constants([1.0, 2.0, 3.0, 4.0, 5.0], 50.0, 100.0);
+    /// let mut ctx = ExactContext::with_profile(profile);
+    /// let mut u = mg.initial_state();
+    /// for _ in 0..12 {
+    ///     u = mg.step(&u, &mut ctx); // each step is one V-cycle
+    /// }
+    /// let truth = source.analytic_solution(15).expect("sine has a closed form");
+    /// let center = (15 * 15) / 2;
+    /// assert!((u[center] - truth[center]).abs() < 0.5, "center {}", u[center]);
+    /// ```
     ///
     /// # Panics
     /// Panics if `n + 1` is not a power of two (the hierarchy must
@@ -237,9 +257,7 @@ impl OperatorMultigrid<CsrMatrix> {
             (n + 1).is_power_of_two() && n >= 1,
             "grid size must be 2^k - 1 (got {n})"
         );
-        let fine = PoissonJacobi::new(n, source, 0.8, tolerance, max_iterations);
-        let h = fine.spacing();
-        let b: Vec<f64> = fine.rhs_values().iter().map(|&f| h * h * f).collect();
+        let b = source.rhs(n);
 
         let mut levels = Vec::new();
         let mut size = n;
@@ -380,6 +398,8 @@ impl<A: LinearOperator> IterativeMethod for OperatorMultigrid<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::{max_deviation, run_to_convergence as run};
+    use crate::Jacobi;
     use approx_arith::{EnergyProfile, ExactContext};
 
     fn profile() -> EnergyProfile {
@@ -396,14 +416,69 @@ mod tests {
         for _ in 0..25 {
             u = mg.step(&u, &mut ctx);
         }
-        let fine = PoissonJacobi::new(15, PoissonSource::Sine { amplitude: 8.0 }, 0.8, 1e-8, 60);
-        let truth = fine.sine_solution(8.0);
-        let err = u
-            .iter()
-            .zip(&truth)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let truth = PoissonSource::Sine { amplitude: 8.0 }
+            .analytic_solution(15)
+            .expect("sine source has a closed form");
+        let err = max_deviation(&u, &truth);
         assert!(err < 0.15, "max error {err}");
+    }
+
+    #[test]
+    fn v_cycles_converge_to_the_analytic_solution_at_second_order() {
+        // Halving h must cut the error against the continuous solution
+        // about fourfold: the 5-point stencil is O(h²) accurate and the
+        // V-cycles leave no algebraic error on top of it.
+        let source = PoissonSource::Sine { amplitude: 8.0 };
+        let error_at = |n: usize| {
+            let mg = OperatorMultigrid::poisson(n, source, 2, 1e-8, 60);
+            let mut ctx = ExactContext::with_profile(profile());
+            let mut u = mg.initial_state();
+            for _ in 0..25 {
+                u = mg.step(&u, &mut ctx);
+            }
+            let truth = source.analytic_solution(n).expect("closed form");
+            max_deviation(&u, &truth)
+        };
+        let (coarse, fine) = (error_at(15), error_at(31));
+        assert!(fine < 0.01, "max error {fine} at n = 31");
+        assert!(
+            3.5 * fine < coarse,
+            "error {coarse} at n = 15, {fine} at n = 31"
+        );
+    }
+
+    #[test]
+    fn multigrid_needs_far_fewer_iterations_than_jacobi() {
+        let source = PoissonSource::Sine { amplitude: 8.0 };
+        let mg = OperatorMultigrid::poisson(15, source, 2, 1e-7, 500);
+        let jacobi = Jacobi::new(CsrMatrix::poisson5(15, 15), source.rhs(15), 0.9, 1e-7, 5000);
+        let (_, mg_iters) = run(&mg, &mut ExactContext::with_profile(profile()));
+        let (_, jacobi_iters) = run(&jacobi, &mut ExactContext::with_profile(profile()));
+        assert!(
+            mg_iters * 5 < jacobi_iters,
+            "multigrid {mg_iters} vs jacobi {jacobi_iters}"
+        );
+    }
+
+    #[test]
+    fn restriction_and_prolongation_round_trip_smooth_fields() {
+        // Restricting then prolongating a smooth field must stay close
+        // to the original (the pair is an approximate identity on the
+        // low-frequency subspace, once the factor 4 folded into the
+        // restriction weights is divided back out).
+        let n = 15;
+        let smooth = PoissonSource::Sine { amplitude: 1.0 }
+            .analytic_solution(n)
+            .expect("sine source has a closed form");
+        let mut ctx = ExactContext::with_profile(profile());
+        let coarse = full_weighting(n).matvec(&mut ctx, &smooth);
+        let back = bilinear_prolongation(n).matvec(&mut ctx, &coarse);
+        let err = smooth
+            .iter()
+            .zip(&back)
+            .map(|(a, b)| (a - b / 4.0).abs())
+            .fold(0.0f64, f64::max);
+        assert!(err < 0.25, "round-trip error {err}");
     }
 
     #[test]
@@ -441,6 +516,14 @@ mod tests {
     #[should_panic(expected = "grid size must be")]
     fn non_power_of_two_grid_panics() {
         let _ = OperatorMultigrid::poisson(10, PoissonSource::Sine { amplitude: 1.0 }, 1, 1e-6, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid size must be")]
+    fn power_of_two_interior_grid_panics() {
+        // The side plus one must be the power of two: 16 points do not
+        // coarsen to a single point, 15 do.
+        let _ = OperatorMultigrid::poisson(16, PoissonSource::Sine { amplitude: 1.0 }, 1, 1e-6, 10);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! ```
 
 use approxit::prelude::*;
-use iter_solvers::{ConjugateGradient, PoissonJacobi, PoissonSource};
+use iter_solvers::datasets::PoissonSource;
+use iter_solvers::{ConjugateGradient, Jacobi};
 
 /// Render the field as an ASCII heatmap.
 fn heatmap(u: &[f64], n: usize) -> String {
@@ -29,7 +30,13 @@ fn heatmap(u: &[f64], n: usize) -> String {
 
 fn main() {
     let n = 23;
-    let pde = PoissonJacobi::new(n, PoissonSource::Sine { amplitude: 8.0 }, 0.9, 1e-7, 5000);
+    let source = PoissonSource::Sine { amplitude: 8.0 };
+    // The 5-point stencil as a CsrMatrix: any LinearOperator — dense,
+    // sparse, or matrix-free — plugs into the same solvers and the same
+    // controller.
+    let a = CsrMatrix::poisson5(n, n);
+    let b = source.rhs(n);
+    let pde = Jacobi::new(a.clone(), b.clone(), 0.9, 1e-7, 5000);
     let profile = EnergyProfile::paper_default();
     let table = characterize(&pde, &profile, 5);
     let mut ctx = QcsContext::with_profile(profile);
@@ -72,7 +79,9 @@ fn main() {
     println!("{}", heatmap(&scaled.state, n));
 
     // Report against the analytic solution too.
-    let analytic = pde.sine_solution(8.0);
+    let analytic = source
+        .analytic_solution(n)
+        .expect("sine source has a closed form");
     let disc_err = truth
         .state
         .iter()
@@ -81,13 +90,7 @@ fn main() {
         .fold(0.0f64, f64::max);
     println!("\n(discretization error of Truth vs analytic solution: {disc_err:.3})");
 
-    // The same PDE through the operator-generic path: assemble the
-    // 5-point stencil as a CsrMatrix and hand it to CG. Any
-    // LinearOperator — dense, sparse, or matrix-free — plugs into the
-    // same solvers and the same controller.
-    let a = CsrMatrix::poisson5(n, n);
-    let h = pde.spacing();
-    let b: Vec<f64> = pde.rhs_values().iter().map(|&f| h * h * f).collect();
+    // The same system handed to CG instead of Jacobi.
     let cg = ConjugateGradient::new(a, b, 1e-10, 400);
     let sparse = RunConfig::new(&cg, &mut ctx).execute(&mut SingleMode::accurate());
     let cg_dev = sparse

@@ -3,9 +3,9 @@
 
 use approxit::prelude::*;
 use approxit::PidStrategy;
-use iter_solvers::datasets::gaussian_blobs;
+use iter_solvers::datasets::{gaussian_blobs, PoissonSource};
 use iter_solvers::metrics::hamming_distance;
-use iter_solvers::GaussianMixture;
+use iter_solvers::{GaussianMixture, Jacobi};
 
 fn profile() -> EnergyProfile {
     EnergyProfile::from_constants([1.0, 2.0, 3.0, 4.0, 5.0], 50.0, 100.0)
@@ -150,4 +150,44 @@ fn energy_accounting_cannot_be_negative_or_free() {
     assert!(outcome.report.approx_energy > 0.0);
     assert!(outcome.report.total_energy >= outcome.report.approx_energy);
     assert!(outcome.report.energy_per_iteration.iter().all(|&e| e > 0.0));
+}
+
+#[test]
+fn poisson_jacobi_reaches_truth_quality_on_the_fixed_point_datapath() {
+    // On the Q15.16 datapath Truth must converge (no rounding-sustained
+    // limit cycle), and both strategies must climb out of the level-1
+    // zero field instead of accepting it as converged.
+    let n = 15;
+    let b = PoissonSource::Sine { amplitude: 8.0 }.rhs(n);
+    let pde = Jacobi::new(CsrMatrix::poisson5(n, n), b, 0.9, 1e-7, 5000);
+    let profile = EnergyProfile::paper_default();
+    let table = characterize(&pde, &profile, 5);
+    let mut ctx = QcsContext::with_profile(profile);
+    let truth = RunConfig::new(&pde, &mut ctx).execute(&mut SingleMode::accurate());
+    assert!(
+        truth.report.converged && truth.report.iterations < 5000,
+        "truth stuck after {} sweeps",
+        truth.report.iterations
+    );
+
+    let strategies: Vec<Box<dyn ReconfigStrategy>> = vec![
+        Box::new(IncrementalStrategy::from_characterization(&table)),
+        Box::new(AdaptiveAngleStrategy::from_characterization(&table, 1)),
+    ];
+    for mut strategy in strategies {
+        let outcome = RunConfig::new(&pde, &mut ctx).execute(strategy.as_mut());
+        let name = &outcome.report.strategy;
+        assert!(outcome.report.converged, "{name} stuck");
+        let deviation = outcome
+            .state
+            .iter()
+            .zip(&truth.state)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert!(
+            deviation <= 1e-3,
+            "{name}: deviation {deviation} from Truth after {} sweeps",
+            outcome.report.iterations
+        );
+    }
 }
