@@ -23,6 +23,15 @@
 //! that an override is **bit-identical** to the scalar-loop default in
 //! values, [`OpCounts`], and energy at every accuracy level.
 //!
+//! The reductions (`dot_slice`, `sum_slice` and the rows of
+//! `matvec_slice`/`spmv_slice`) do not replay the QCS add chain term by
+//! term on widths up to 54 bits. Its carries into the high part can be
+//! deferred: the chain ends at the sum of the terms' high parts modulo
+//! 2^(w−k), joined with the OR of their low bits under the OR policy.
+//! One private fold computes that closed form in four independent lanes
+//! for all four reductions. Wider formats requantize through `f64`
+//! after every add, so their reductions stay a serial chain.
+//!
 //! Energy metering is *count-based*: contexts tally integer per-level
 //! operation counters and compute energy lazily as
 //! `Σ counts × per-op cost`. Integer counters are associative, so a
@@ -468,10 +477,15 @@ struct MulMode {
 impl MulMode {
     fn for_format(format: QFormat) -> Self {
         let w = format.width();
+        let frac_bits = format.frac_bits();
         Self {
             format,
-            frac_bits: format.frac_bits(),
-            half: 1i64 << (format.frac_bits().max(1) - 1),
+            frac_bits,
+            half: if frac_bits == 0 {
+                0
+            } else {
+                1i64 << (frac_bits - 1)
+            },
             max_raw: ((1u64 << (w - 1)) - 1) as i64,
             min_raw: -1i64 << (w - 1),
             narrow: w <= 32,
@@ -483,12 +497,13 @@ impl MulMode {
     #[inline]
     fn mul_raw(self, a: i64, b: i64) -> i64 {
         if self.narrow {
+            // Sign-magnitude rounding without a branch: `sign` is 0 or
+            // −1, so `(v ^ sign) − sign` is |v| and the same map applied
+            // to the rounded magnitude restores the sign. |a·b| ≤ 2⁶².
             let wide = a * b;
-            let shifted = if wide >= 0 {
-                (wide + self.half) >> self.frac_bits
-            } else {
-                -((-wide + self.half) >> self.frac_bits)
-            };
+            let sign = wide >> 63;
+            let mag = (wide ^ sign) - sign;
+            let shifted = (((mag + self.half) >> self.frac_bits) ^ sign) - sign;
             shifted.clamp(self.min_raw, self.max_raw)
         } else {
             self.format.mul_raw(a, b)
@@ -638,53 +653,116 @@ fn axpy_assign_span(
     }
 }
 
-/// Partial dot reduction over one span on an exactly-round-tripping
-/// width, folded left-to-right from `init` in the masked-bits domain.
+/// Independent accumulator lanes of a [`Fold`]: enough to hide the
+/// latency of the shifted-sum chain.
+const LANES: usize = 4;
+
+/// The QCS add chain of a reduction in closed form, on an
+/// exactly-round-tripping width (≤ 54 bits).
 ///
-/// Chunked reductions merge these partials with `add_bits`, which is
-/// associative and commutative with identity 0 for *both* low-part
-/// policies (the high parts add modulo 2^(width−k); the OR'd low parts
-/// are an associative lattice join), so any chunking reproduces the
-/// serial fold bit for bit. The wide (width > 54) path round-trips the
+/// The left fold `acc ← add_bits(acc, pᵢ & mask)` from 0 keeps its high
+/// part `acc >> k` as a running sum modulo 2^(w−k) and its low `k` bits
+/// as the OR of the terms' low bits (zero under truncation), so it ends
+/// at `((Σᵢ (pᵢ >> k)) << k | ORᵢ(pᵢ & (2ᵏ−1))) & mask`. The
+/// arithmetic shift of a sign-extended term agrees with the shift of its
+/// masked pattern modulo 2^(w−k), and the sum may wrap modulo 2⁶⁴,
+/// which 2^(w−k) divides — so the terms need no per-element mask, and
+/// the sum and the OR split into independent lanes in any order.
+///
+/// Chunked reductions merge finished partials with `add_bits`, which is
+/// associative and commutative with identity 0 for both low-part
+/// policies by the same argument, so any chunking reproduces the serial
+/// fold bit for bit. The wide (width > 54) path round-trips the
 /// accumulator through `f64` after every step, which is *not*
-/// associative — wide reductions therefore never take this path and
-/// stay serial.
-fn dot_span_bits(
-    cv: RawConverter,
-    mode: AddMode,
-    mul: MulMode,
-    xs: &[f64],
-    ys: &[f64],
-    init: u64,
-) -> u64 {
-    let mut ra = [0i64; BLOCK];
-    let mut rb = [0i64; BLOCK];
-    let mut acc = init;
-    for (xc, yc) in xs.chunks(BLOCK).zip(ys.chunks(BLOCK)) {
-        let n = xc.len();
-        cv.to_raw_slice(xc, &mut ra[..n]);
-        cv.to_raw_slice(yc, &mut rb[..n]);
-        for (&a, &b) in ra[..n].iter().zip(&rb[..n]) {
-            let p = mul.mul_raw(a, b);
-            acc = mode.add_bits(acc, p as u64 & mode.mask);
+/// associative — wide reductions therefore never fold and stay serial.
+struct Fold {
+    high: [i64; LANES],
+    low: [u64; LANES],
+}
+
+impl Fold {
+    const EMPTY: Self = Self {
+        high: [0; LANES],
+        low: [0; LANES],
+    };
+
+    /// Absorb the terms `term(0) … term(n − 1)`.
+    #[inline(always)]
+    fn absorb(&mut self, mode: AddMode, n: usize, term: impl Fn(usize) -> i64) {
+        // Accurate mode shifts by 0, and only the OR policy reads the
+        // low bits: each case gets a loop without the dead work.
+        match (mode.k, mode.or_low) {
+            (0, _) => self.absorb_as::<false, false>(0, n, term),
+            (k, false) => self.absorb_as::<true, false>(k, n, term),
+            (k, true) => self.absorb_as::<true, true>(k, n, term),
         }
     }
-    acc
+
+    #[inline(always)]
+    fn absorb_as<const SHIFT: bool, const OR: bool>(
+        &mut self,
+        k: u32,
+        n: usize,
+        term: impl Fn(usize) -> i64,
+    ) {
+        let mut lane = |l: usize, p: i64| {
+            self.high[l] = self.high[l].wrapping_add(if SHIFT { p >> k } else { p });
+            if OR {
+                self.low[l] |= p as u64;
+            }
+        };
+        let whole = n - n % LANES;
+        for i in (0..whole).step_by(LANES) {
+            for l in 0..LANES {
+                lane(l, term(i + l));
+            }
+        }
+        for i in whole..n {
+            lane(0, term(i));
+        }
+    }
+
+    /// The masked-bits result of the serial add chain over every term
+    /// absorbed so far.
+    fn bits(self, mode: AddMode) -> u64 {
+        let high = self.high.iter().fold(0i64, |s, &h| s.wrapping_add(h));
+        let low = if mode.or_low {
+            self.low.iter().fold(0u64, |s, &l| s | l) & ((1u64 << mode.k) - 1)
+        } else {
+            0
+        };
+        (((high as u64) << mode.k) | low) & mode.mask
+    }
+}
+
+/// Partial dot reduction over one span on an exactly-round-tripping
+/// width, in the masked-bits domain (see [`Fold`] for why chunked
+/// partials may be merged).
+fn dot_span_bits(cv: RawConverter, mode: AddMode, mul: MulMode, xs: &[f64], ys: &[f64]) -> u64 {
+    let mut ra = [0i64; BLOCK];
+    let mut rb = [0i64; BLOCK];
+    let mut fold = Fold::EMPTY;
+    for (xc, yc) in xs.chunks(BLOCK).zip(ys.chunks(BLOCK)) {
+        let n = xc.len();
+        let (a, b) = (&mut ra[..n], &mut rb[..n]);
+        cv.to_raw_slice(xc, a);
+        cv.to_raw_slice(yc, b);
+        fold.absorb(mode, n, |i| mul.mul_raw(a[i], b[i]));
+    }
+    fold.bits(mode)
 }
 
 /// Partial sum reduction over one span in the masked-bits domain; same
-/// associativity contract as [`dot_span_bits`].
-fn sum_span_bits(cv: RawConverter, mode: AddMode, xs: &[f64], init: u64) -> u64 {
+/// contract as [`dot_span_bits`].
+fn sum_span_bits(cv: RawConverter, mode: AddMode, xs: &[f64]) -> u64 {
     let mut rx = [0i64; BLOCK];
-    let mut acc = init;
+    let mut fold = Fold::EMPTY;
     for xc in xs.chunks(BLOCK) {
-        let n = xc.len();
-        cv.to_raw_slice(xc, &mut rx[..n]);
-        for &r in &rx[..n] {
-            acc = mode.add_bits(acc, r as u64 & mode.mask);
-        }
+        let r = &mut rx[..xc.len()];
+        cv.to_raw_slice(xc, r);
+        fold.absorb(mode, r.len(), |i| r[i]);
     }
-    acc
+    fold.bits(mode)
 }
 
 /// Dense rows `out[r] = Σⱼ rows[r·cols + j] · rx[j]` over one row span
@@ -701,18 +779,29 @@ fn matvec_rows(
     out: &mut [f64],
 ) {
     let mut rr = [0i64; BLOCK];
-    if mode.exact_roundtrip {
-        for (o, row) in out.iter_mut().zip(rows.chunks_exact(cols)) {
-            let mut acc = 0u64;
-            for (rc, xc) in row.chunks(BLOCK).zip(rx.chunks(BLOCK)) {
-                let n = rc.len();
-                cv.to_raw_slice(rc, &mut rr[..n]);
-                for (&a, &bx) in rr[..n].iter().zip(xc) {
-                    let p = mul.mul_raw(a, bx);
-                    acc = mode.add_bits(acc, p as u64 & mode.mask);
-                }
+    if mode.exact_roundtrip && cols <= BLOCK {
+        // Short rows (AR's 10-column design matrix) convert several to
+        // a block instead of paying one short conversion per row.
+        let per = BLOCK / cols;
+        let rx = &rx[..cols];
+        for (oc, rc) in out.chunks_mut(per).zip(rows.chunks(per * cols)) {
+            let rr = &mut rr[..rc.len()];
+            cv.to_raw_slice(rc, rr);
+            for (o, row) in oc.iter_mut().zip(rr.chunks_exact(cols)) {
+                let mut fold = Fold::EMPTY;
+                fold.absorb(mode, cols, |j| mul.mul_raw(row[j], rx[j]));
+                *o = cv.from_raw(mode.sext(fold.bits(mode)));
             }
-            *o = cv.from_raw(mode.sext(acc));
+        }
+    } else if mode.exact_roundtrip {
+        for (o, row) in out.iter_mut().zip(rows.chunks_exact(cols)) {
+            let mut fold = Fold::EMPTY;
+            for (rc, xc) in row.chunks(BLOCK).zip(rx.chunks(BLOCK)) {
+                let (a, b) = (&mut rr[..rc.len()], &xc[..rc.len()]);
+                cv.to_raw_slice(rc, a);
+                fold.absorb(mode, a.len(), |j| mul.mul_raw(a[j], b[j]));
+            }
+            *o = cv.from_raw(mode.sext(fold.bits(mode)));
         }
     } else {
         for (o, row) in out.iter_mut().zip(rows.chunks_exact(cols)) {
@@ -750,19 +839,16 @@ fn spmv_rows(
         let r = row_offset + i;
         let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
         if mode.exact_roundtrip {
-            let mut acc = 0u64;
+            let mut fold = Fold::EMPTY;
             for (vc, jc) in values[lo..hi]
                 .chunks(BLOCK)
                 .zip(col_idx[lo..hi].chunks(BLOCK))
             {
-                let n = vc.len();
-                cv.to_raw_slice(vc, &mut rv[..n]);
-                for (&a, &j) in rv[..n].iter().zip(jc) {
-                    let p = mul.mul_raw(a, rx[j]);
-                    acc = mode.add_bits(acc, p as u64 & mode.mask);
-                }
+                let (a, jc) = (&mut rv[..vc.len()], &jc[..vc.len()]);
+                cv.to_raw_slice(vc, a);
+                fold.absorb(mode, a.len(), |i| mul.mul_raw(a[i], rx[jc[i]]));
             }
-            *o = cv.from_raw(mode.sext(acc));
+            *o = cv.from_raw(mode.sext(fold.bits(mode)));
         } else {
             let mut acc: i64 = 0;
             for (vc, jc) in values[lo..hi]
@@ -1213,18 +1299,18 @@ impl ArithContext for QcsContext {
             // The bits→raw→f64→raw→bits round-trip between fused ops is
             // the identity here, so the accumulator never has to leave
             // the masked-bits domain — and the bits-domain add is
-            // associative (see `dot_span_bits`), so the reduction may be
+            // associative (see `Fold`), so the reduction may be
             // chunked across workers and merged in chunk order.
             let acc_bits = if let Some(exec) = self.par_exec(xs.len()) {
                 let partials = exec.map_chunks(xs.len() as u64, PAR_CHUNK as u64, |s, e| {
                     let (s, e) = (s as usize, e as usize);
-                    dot_span_bits(cv, mode, mul, &xs[s..e], &ys[s..e], 0)
+                    dot_span_bits(cv, mode, mul, &xs[s..e], &ys[s..e])
                 });
                 partials
                     .into_iter()
                     .fold(0u64, |acc, p| mode.add_bits(acc, p))
             } else {
-                dot_span_bits(cv, mode, mul, xs, ys, 0)
+                dot_span_bits(cv, mode, mul, xs, ys)
             };
             cv.from_raw(mode.sext(acc_bits))
         } else {
@@ -1348,13 +1434,13 @@ impl ArithContext for QcsContext {
             // Same chunked-reduction contract as `dot_slice`.
             let acc_bits = if let Some(exec) = self.par_exec(xs.len()) {
                 let partials = exec.map_chunks(xs.len() as u64, PAR_CHUNK as u64, |s, e| {
-                    sum_span_bits(cv, mode, &xs[s as usize..e as usize], 0)
+                    sum_span_bits(cv, mode, &xs[s as usize..e as usize])
                 });
                 partials
                     .into_iter()
                     .fold(0u64, |acc, p| mode.add_bits(acc, p))
             } else {
-                sum_span_bits(cv, mode, xs, 0)
+                sum_span_bits(cv, mode, xs)
             };
             cv.from_raw(mode.sext(acc_bits))
         } else {
@@ -1696,7 +1782,8 @@ mod tests {
     fn mul_mode_matches_format_mul_raw() {
         // The narrow (i64-only) kernel multiply must agree with the
         // i128 datapath multiply everywhere, including the saturation
-        // boundaries and the frac_bits = 0 rounding quirk.
+        // boundaries and integer formats (frac_bits = 0), which shift
+        // nothing out and so must not round.
         for fmt in [
             QFormat::Q15_16,
             QFormat::new(32, 0),
@@ -1717,6 +1804,67 @@ mod tests {
                 let a = cv.to_raw(rng.uniform(fmt.min_value(), fmt.max_value()));
                 let b = cv.to_raw(rng.uniform(fmt.min_value(), fmt.max_value()));
                 assert_eq!(mul.mul_raw(a, b), fmt.mul_raw(a, b), "{fmt} ({a}, {b})");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_formats_multiply_exactly_on_every_path() {
+        let fmt = QFormat::new(16, 0);
+        let mut ctx = QcsContext::new(QcsAdder::new(16, [10, 7, 4, 2]), fmt, test_profile());
+        assert_eq!(ctx.mul(6.0, 7.0), 42.0);
+        assert_eq!(ctx.mul(0.0, 7.0), 0.0);
+        assert_eq!(ctx.mul(-6.0, 7.0), -42.0);
+        assert_eq!(ctx.mul(300.0, 300.0), 32_767.0);
+        assert_eq!(ctx.mul(-300.0, 300.0), -32_768.0);
+        let mut out = [0.0; 3];
+        ctx.scale_slice(7.0, &[6.0, -6.0, 5000.0], &mut out);
+        assert_eq!(out, [42.0, -42.0, 32_767.0]);
+        assert_eq!(ctx.dot_slice(&[6.0, 2.0], &[7.0, 3.0]), 48.0);
+        let mul = MulMode::for_format(fmt);
+        assert_eq!(mul.mul_raw(6, 7), 42);
+        assert_eq!(mul.mul_raw(0, 7), 0);
+        assert_eq!(mul.mul_raw(-182, 181), -32_768);
+    }
+
+    #[test]
+    fn fold_closed_form_matches_serial_add_chain() {
+        // The lane-split closed form must equal the serial
+        // `add_bits(acc, p & mask)` chain for arbitrary raw words —
+        // sign-extended in-range terms and full 64-bit garbage alike —
+        // at every level, for both policies, on every fold width.
+        for w in [8u32, 16, 32, 48, 54] {
+            let fmt = QFormat::new(w, w / 2);
+            for policy in [LowPartPolicy::Zero, LowPartPolicy::Or] {
+                let qcs = QcsAdder::with_policy(w, [w * 5 / 8, w / 2, w / 4, w / 8], policy);
+                let mut rng = crate::rng::Pcg32::seeded(61, u64::from(w));
+                for level in AccuracyLevel::ALL {
+                    let mode = AddMode::for_level(&qcs, fmt, level);
+                    for n in [0usize, 1, 3, 4, 5, 8, 255, 257, 1031] {
+                        let terms: Vec<i64> = (0..n)
+                            .map(|i| {
+                                let r = rng.next_u64();
+                                if i % 2 == 0 {
+                                    mode.sext(r & mode.mask)
+                                } else {
+                                    r as i64
+                                }
+                            })
+                            .collect();
+                        let serial = terms
+                            .iter()
+                            .fold(0u64, |acc, &p| mode.add_bits(acc, p as u64 & mode.mask));
+                        let mut fold = Fold::EMPTY;
+                        fold.absorb(mode, n, |i| terms[i]);
+                        assert_eq!(fold.bits(mode), serial, "w={w} {policy:?} {level} n={n}");
+                        // Absorbing in pieces is the same fold.
+                        let mut pieces = Fold::EMPTY;
+                        for part in terms.chunks(7) {
+                            pieces.absorb(mode, part.len(), |i| part[i]);
+                        }
+                        assert_eq!(pieces.bits(mode), serial, "w={w} {policy:?} {level} n={n}");
+                    }
+                }
             }
         }
     }

@@ -179,8 +179,13 @@ impl QFormat {
         let wide = i128::from(a) * i128::from(b);
         // Round half away from zero at the bits we shift out. The shift
         // floors, so the negative branch negates first to keep the
-        // rounding symmetric.
-        let half = 1i128 << (self.frac_bits.max(1) - 1);
+        // rounding symmetric. Integer formats shift nothing out, so
+        // there is nothing to round.
+        let half = if self.frac_bits == 0 {
+            0
+        } else {
+            1i128 << (self.frac_bits - 1)
+        };
         let shifted = if wide >= 0 {
             (wide + half) >> self.frac_bits
         } else {
@@ -248,12 +253,29 @@ impl RawConverter {
     /// is 0 and every comparison on NaN is false, so a NaN input falls
     /// through to 0 exactly like the scalar early return.
     ///
+    /// Formats of at most 32 bits take a shorter path: clamp in `f64`
+    /// first, then round half away from zero by adding
+    /// `±0.49999999999999994` (the largest `f64` below ½) and truncating
+    /// with a saturating `as i32`, which replaces the 64-bit
+    /// truncate-and-compare rounder. The clamped value is an `f64` of
+    /// magnitude at most 2³¹, where that sum rounds to the next integer
+    /// exactly when the discarded fraction is at least ½ (for 0.5 it
+    /// lands on the tie `1 − 2⁻⁵⁴`, which rounds to even, i.e. to 1).
+    /// NaN survives `f64::clamp` and the saturating cast maps it to 0.
+    ///
     /// # Panics
     /// Panics if `xs` and `out` have different lengths.
     pub fn to_raw_slice(&self, xs: &[f64], out: &mut [i64]) {
         assert_eq!(xs.len(), out.len(), "to_raw_slice length mismatch");
         let max_f = self.max_raw as f64;
         let min_f = self.min_raw as f64;
+        if self.max_raw <= i64::from(i32::MAX) {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                let c = (x * self.scale).clamp(min_f, max_f);
+                *o = i64::from((c + 0.499_999_999_999_999_94f64.copysign(c)) as i32);
+            }
+            return;
+        }
         for (o, &x) in out.iter_mut().zip(xs) {
             let scaled = x * self.scale;
             let t = scaled as i64;
@@ -354,6 +376,25 @@ mod tests {
     }
 
     #[test]
+    fn integer_formats_multiply_exactly() {
+        // No fraction bits are shifted out, so there is nothing to round:
+        // the product is exact until it saturates.
+        let q = QFormat::new(16, 0);
+        assert_eq!(q.mul_raw(6, 7), 42);
+        assert_eq!(q.mul_raw(0, 7), 0);
+        assert_eq!(q.mul_raw(-6, 7), -42);
+        assert_eq!(q.mul_raw(-6, -7), 42);
+        assert_eq!(q.mul_raw(181, 181), 32_761);
+        assert_eq!(q.mul_raw(182, 181), i64::from(i16::MAX));
+        assert_eq!(q.mul_raw(-182, 181), i64::from(i16::MIN));
+        assert_eq!(q.mul_raw(-32_768, -32_768), i64::from(i16::MAX));
+        let wide = QFormat::new(64, 0);
+        assert_eq!(wide.mul_raw(3, -5), -15);
+        assert_eq!(wide.mul_raw(i64::MAX, 2), i64::MAX);
+        assert_eq!(wide.mul_raw(i64::MIN, 2), i64::MIN);
+    }
+
+    #[test]
     fn converter_rounding_matches_f64_round() {
         // The branch-free rounder must agree with `f64::round` (round
         // half away from zero) everywhere, including exact halves and
@@ -411,6 +452,64 @@ mod tests {
             cv.from_raw_slice(&raws, &mut back);
             for (&r, &b) in raws.iter().zip(&back) {
                 assert_eq!(b.to_bits(), cv.from_raw(r).to_bits(), "raw={r} ({q})");
+            }
+        }
+    }
+
+    /// Rounding and saturation boundaries of a format: exact ties
+    /// `(n + ½)·ulp` at every binade up to 2^(w−1) and beside it, the
+    /// saturation edges `±(max_raw ± ½)·ulp` and `min_raw ± ½`, all with
+    /// their `f64` neighbours, plus NaN, ±∞, ±0 and subnormals.
+    fn conversion_boundaries(q: QFormat) -> Vec<f64> {
+        let ulp = q.resolution();
+        let max = q.max_raw() as f64;
+        let min = q.min_raw() as f64;
+        let mut centers = vec![0.5, max + 0.5, max - 0.5, min + 0.5, min - 0.5];
+        for e in 0..q.width() {
+            let n = f64::from(e).exp2();
+            centers.extend([n - 0.5, n + 0.5, n + 1.5]);
+        }
+        let mut xs = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            -f64::MIN_POSITIVE / 2.0,
+        ];
+        for c in centers {
+            for v in [c * ulp, -c * ulp] {
+                xs.extend([v.next_down(), v, v.next_up()]);
+            }
+        }
+        xs
+    }
+
+    #[test]
+    fn slice_conversion_matches_scalar_at_every_width_boundary() {
+        for w in 2..=64 {
+            let q = QFormat::new(w, w / 2);
+            let cv = q.converter();
+            let xs = conversion_boundaries(q);
+            // Several offsets move every value through both the unrolled
+            // body and the remainder of the vectorized loop.
+            for off in 0..4 {
+                let mut raws = vec![0i64; xs.len() - off];
+                cv.to_raw_slice(&xs[off..], &mut raws);
+                for (&x, &r) in xs[off..].iter().zip(&raws) {
+                    assert_eq!(r, cv.to_raw(x), "{q}: to_raw_slice vs to_raw at x={x:e}");
+                }
+            }
+            // Where ties are exact in f64, both round half away from zero.
+            let ulp = q.resolution();
+            for e in 0..(w - 1).min(52) {
+                let n = (1i64 << e) - 1;
+                let tie = (n as f64 + 0.5) * ulp;
+                assert_eq!(cv.to_raw(tie), n + 1, "{q}: tie {tie:e}");
+                assert_eq!(cv.to_raw(-tie), -(n + 1), "{q}: tie {:e}", -tie);
             }
         }
     }

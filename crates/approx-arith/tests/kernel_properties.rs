@@ -34,13 +34,23 @@ impl Config {
     }
 }
 
-/// The format sweep: narrow (32-bit), default (48-bit) and wide
-/// (64-bit, where raw values exceed f64's 2⁵³ integer range and the
-/// kernels must requantize between fused operations), each under both
-/// low-part policies.
+/// The format sweep: sub-32-bit (16- and 8-bit), narrow (32-bit),
+/// default (48-bit) and wide (64-bit, where raw values exceed f64's 2⁵³
+/// integer range and the kernels must requantize between fused
+/// operations), each under both low-part policies.
 fn configs() -> Vec<Config> {
     let mut out = Vec::new();
     for policy in [LowPartPolicy::Zero, LowPartPolicy::Or] {
+        out.push(Config {
+            format: QFormat::new(16, 8),
+            approx_bits: [10, 7, 4, 2],
+            policy,
+        });
+        out.push(Config {
+            format: QFormat::new(8, 3),
+            approx_bits: [5, 3, 2, 1],
+            policy,
+        });
         out.push(Config {
             format: QFormat::Q15_16,
             approx_bits: [20, 15, 10, 5],
@@ -121,16 +131,29 @@ fn assert_meters_match(fast: &QcsContext, slow: &ScalarPath<QcsContext>, what: &
 
 const SIZES: [usize; 6] = [0, 1, 2, 3, 17, 64];
 
+/// Reduction lengths that cross the kernels' 256-element block and
+/// leave a remainder after the reductions' 4-lane unroll.
+const LONG: [usize; 3] = [255, 257, 1031];
+
 /// Run `op` against both contexts for every config × level × size and
 /// compare values and meters.
 fn check_kernel(
     name: &str,
+    op: impl FnMut(&mut dyn ArithContext, &mut Pcg32, usize, f64) -> Vec<f64>,
+) {
+    check_kernel_sizes(name, &SIZES, op);
+}
+
+/// [`check_kernel`] over an explicit list of sizes.
+fn check_kernel_sizes(
+    name: &str,
+    sizes: &[usize],
     mut op: impl FnMut(&mut dyn ArithContext, &mut Pcg32, usize, f64) -> Vec<f64>,
 ) {
     for cfg in configs() {
         for level in AccuracyLevel::ALL {
             let (mut fast, mut slow) = context_pair(cfg, level);
-            for n in SIZES {
+            for &n in sizes {
                 let what = format!("{name} [{} {level:?} n={n}]", cfg.label());
                 // Identical streams drive both paths.
                 let seed = 0xA11C_E000 + n as u64;
@@ -267,6 +290,86 @@ fn spmv_slice_matches_scalar_default() {
         ctx.spmv_slice(&values, &col_idx, &row_ptr, &x, &mut out);
         out
     });
+}
+
+// Long reductions run on full-span operands: products saturate and the
+// running sums wrap now and then, which the folded reductions must
+// reproduce exactly.
+
+#[test]
+fn dot_slice_long_reductions_match_scalar_default() {
+    check_kernel_sizes("dot_slice", &LONG, |ctx, rng, n, span| {
+        let xs = random_slice(rng, n, span);
+        let ys = random_slice(rng, n, span);
+        vec![ctx.dot_slice(&xs, &ys)]
+    });
+}
+
+#[test]
+fn sum_slice_long_reductions_match_scalar_default() {
+    check_kernel_sizes("sum_slice", &LONG, |ctx, rng, n, span| {
+        let xs = random_slice(rng, n, span);
+        vec![ctx.sum_slice(&xs)]
+    });
+}
+
+#[test]
+fn matvec_slice_long_rows_match_scalar_default() {
+    check_kernel_sizes("matvec_slice", &LONG, |ctx, rng, n, span| {
+        // 3 rows × n columns.
+        let rows = random_slice(rng, 3 * n, span);
+        let x = random_slice(rng, n, span);
+        let mut out = vec![0.0; 3];
+        ctx.matvec_slice(&rows, n, &x, &mut out);
+        out
+    });
+}
+
+#[test]
+fn spmv_slice_long_rows_match_scalar_default() {
+    check_kernel_sizes("spmv_slice", &LONG, |ctx, rng, n, span| {
+        // 2 rows with n stored entries each, visiting the columns in a
+        // scrambled order (7 is coprime to every length in LONG) so the
+        // gather of x is not sequential.
+        let values = random_slice(rng, 2 * n, span);
+        let col_idx: Vec<usize> = (0..2 * n).map(|k| (k % n) * 7 % n).collect();
+        let row_ptr = [0, n, 2 * n];
+        let x = random_slice(rng, n, span);
+        let mut out = vec![0.0; 2];
+        ctx.spmv_slice(&values, &col_idx, &row_ptr, &x, &mut out);
+        out
+    });
+}
+
+#[test]
+fn reductions_that_wrap_the_word_match_scalar_default() {
+    // Every term is positive and three of them already sum past the
+    // format's maximum: the w-bit running sum must wrap, on the folded
+    // path exactly as on the serial add chain.
+    for cfg in configs() {
+        let big = 0.4 * cfg.format.max_value();
+        for level in AccuracyLevel::ALL {
+            let (mut fast, mut slow) = context_pair(cfg, level);
+            for n in [3, 257] {
+                let what = format!("wrap [{} {level:?} n={n}]", cfg.label());
+                let xs = vec![big; n];
+                let roots = vec![big.sqrt(); n];
+                let rows = roots.repeat(2);
+                let q = |v: f64| cfg.format.quantize(v);
+                assert!(xs.iter().map(|&x| q(x)).sum::<f64>() > cfg.format.max_value());
+                assert!(n as f64 * q(q(big.sqrt()) * q(big.sqrt())) > cfg.format.max_value());
+                let run = |ctx: &mut dyn ArithContext| {
+                    let mut out = vec![ctx.sum_slice(&xs), ctx.dot_slice(&roots, &roots)];
+                    let mut mv = [0.0; 2];
+                    ctx.matvec_slice(&rows, n, &roots, &mut mv);
+                    out.extend(mv);
+                    out
+                };
+                assert_values_match(&run(&mut fast), &run(&mut slow), &what);
+                assert_meters_match(&fast, &slow, &what);
+            }
+        }
+    }
 }
 
 #[test]
