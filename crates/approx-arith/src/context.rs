@@ -29,8 +29,14 @@
 //! deferred: the chain ends at the sum of the terms' high parts modulo
 //! 2^(w−k), joined with the OR of their low bits under the OR policy.
 //! One private fold computes that closed form in four independent lanes
-//! for all four reductions. Wider formats requantize through `f64`
+//! for all four reductions. It reads the converted raw words as slices,
+//! keeps its lanes in locals for the whole pass and picks the narrow or
+//! wide multiply once per call. Wider formats requantize through `f64`
 //! after every add, so their reductions stay a serial chain.
+//!
+//! Formats of at most 32 bits convert `f64` to raw words with the
+//! magic-number rounder of [`RawConverter::to_raw_slice`], which has no
+//! float→int cast and so vectorizes on baseline x86-64.
 //!
 //! Energy metering is *count-based*: contexts tally integer per-level
 //! operation counters and compute energy lazily as
@@ -497,17 +503,23 @@ impl MulMode {
     #[inline]
     fn mul_raw(self, a: i64, b: i64) -> i64 {
         if self.narrow {
-            // Sign-magnitude rounding without a branch: `sign` is 0 or
-            // −1, so `(v ^ sign) − sign` is |v| and the same map applied
-            // to the rounded magnitude restores the sign. |a·b| ≤ 2⁶².
-            let wide = a * b;
-            let sign = wide >> 63;
-            let mag = (wide ^ sign) - sign;
-            let shifted = (((mag + self.half) >> self.frac_bits) ^ sign) - sign;
-            shifted.clamp(self.min_raw, self.max_raw)
+            self.mul_narrow(a, b)
         } else {
             self.format.mul_raw(a, b)
         }
+    }
+
+    /// The `narrow` case of [`MulMode::mul_raw`].
+    #[inline(always)]
+    fn mul_narrow(self, a: i64, b: i64) -> i64 {
+        // Sign-magnitude rounding without a branch: `sign` is 0 or −1,
+        // so `(v ^ sign) − sign` is |v| and the same map applied to the
+        // rounded magnitude restores the sign. |a·b| ≤ 2⁶².
+        let wide = a * b;
+        let sign = wide >> 63;
+        let mag = (wide ^ sign) - sign;
+        let shifted = (((mag + self.half) >> self.frac_bits) ^ sign) - sign;
+        shifted.clamp(self.min_raw, self.max_raw)
     }
 }
 
@@ -686,15 +698,33 @@ impl Fold {
         low: [0; LANES],
     };
 
-    /// Absorb the terms `term(0) … term(n − 1)`.
+    /// Absorb the datapath products `a[i] · b[i]`.
     #[inline(always)]
-    fn absorb(&mut self, mode: AddMode, n: usize, term: impl Fn(usize) -> i64) {
+    fn absorb_products(&mut self, mode: AddMode, mul: MulMode, a: &[i64], b: &[i64]) {
+        // The multiply's width test runs once per call, not per term.
+        if mul.narrow {
+            self.absorb(mode, a, b, |x, y| mul.mul_narrow(x, y));
+        } else {
+            self.absorb(mode, a, b, |x, y| mul.format.mul_raw(x, y));
+        }
+    }
+
+    /// Absorb the raw terms `a[i]`.
+    #[inline(always)]
+    fn absorb_raws(&mut self, mode: AddMode, a: &[i64]) {
+        self.absorb(mode, a, a, |x, _| x);
+    }
+
+    /// Absorb the terms `term(a[i], b[i])`.
+    #[inline(always)]
+    fn absorb(&mut self, mode: AddMode, a: &[i64], b: &[i64], term: impl Fn(i64, i64) -> i64) {
+        debug_assert_eq!(a.len(), b.len());
         // Accurate mode shifts by 0, and only the OR policy reads the
         // low bits: each case gets a loop without the dead work.
         match (mode.k, mode.or_low) {
-            (0, _) => self.absorb_as::<false, false>(0, n, term),
-            (k, false) => self.absorb_as::<true, false>(k, n, term),
-            (k, true) => self.absorb_as::<true, true>(k, n, term),
+            (0, _) => self.absorb_as::<false, false>(0, a, b, term),
+            (k, false) => self.absorb_as::<true, false>(k, a, b, term),
+            (k, true) => self.absorb_as::<true, true>(k, a, b, term),
         }
     }
 
@@ -702,24 +732,40 @@ impl Fold {
     fn absorb_as<const SHIFT: bool, const OR: bool>(
         &mut self,
         k: u32,
-        n: usize,
-        term: impl Fn(usize) -> i64,
+        a: &[i64],
+        b: &[i64],
+        term: impl Fn(i64, i64) -> i64,
     ) {
-        let mut lane = |l: usize, p: i64| {
-            self.high[l] = self.high[l].wrapping_add(if SHIFT { p >> k } else { p });
+        // The lanes live in locals for the whole pass, so they stay in
+        // registers instead of round-tripping through `self`.
+        let [mut h0, mut h1, mut h2, mut h3] = self.high;
+        let [mut l0, mut l1, mut l2, mut l3] = self.low;
+        let high = |p: i64| if SHIFT { p >> k } else { p };
+        let mut ac = a.chunks_exact(LANES);
+        let mut bc = b.chunks_exact(LANES);
+        for (x, y) in (&mut ac).zip(&mut bc) {
+            let (p0, p1) = (term(x[0], y[0]), term(x[1], y[1]));
+            let (p2, p3) = (term(x[2], y[2]), term(x[3], y[3]));
+            h0 = h0.wrapping_add(high(p0));
+            h1 = h1.wrapping_add(high(p1));
+            h2 = h2.wrapping_add(high(p2));
+            h3 = h3.wrapping_add(high(p3));
             if OR {
-                self.low[l] |= p as u64;
-            }
-        };
-        let whole = n - n % LANES;
-        for i in (0..whole).step_by(LANES) {
-            for l in 0..LANES {
-                lane(l, term(i + l));
+                l0 |= p0 as u64;
+                l1 |= p1 as u64;
+                l2 |= p2 as u64;
+                l3 |= p3 as u64;
             }
         }
-        for i in whole..n {
-            lane(0, term(i));
+        for (&x, &y) in ac.remainder().iter().zip(bc.remainder()) {
+            let p = term(x, y);
+            h0 = h0.wrapping_add(high(p));
+            if OR {
+                l0 |= p as u64;
+            }
         }
+        self.high = [h0, h1, h2, h3];
+        self.low = [l0, l1, l2, l3];
     }
 
     /// The masked-bits result of the serial add chain over every term
@@ -747,7 +793,7 @@ fn dot_span_bits(cv: RawConverter, mode: AddMode, mul: MulMode, xs: &[f64], ys: 
         let (a, b) = (&mut ra[..n], &mut rb[..n]);
         cv.to_raw_slice(xc, a);
         cv.to_raw_slice(yc, b);
-        fold.absorb(mode, n, |i| mul.mul_raw(a[i], b[i]));
+        fold.absorb_products(mode, mul, a, b);
     }
     fold.bits(mode)
 }
@@ -760,7 +806,7 @@ fn sum_span_bits(cv: RawConverter, mode: AddMode, xs: &[f64]) -> u64 {
     for xc in xs.chunks(BLOCK) {
         let r = &mut rx[..xc.len()];
         cv.to_raw_slice(xc, r);
-        fold.absorb(mode, r.len(), |i| r[i]);
+        fold.absorb_raws(mode, r);
     }
     fold.bits(mode)
 }
@@ -789,7 +835,7 @@ fn matvec_rows(
             cv.to_raw_slice(rc, rr);
             for (o, row) in oc.iter_mut().zip(rr.chunks_exact(cols)) {
                 let mut fold = Fold::EMPTY;
-                fold.absorb(mode, cols, |j| mul.mul_raw(row[j], rx[j]));
+                fold.absorb_products(mode, mul, row, rx);
                 *o = cv.from_raw(mode.sext(fold.bits(mode)));
             }
         }
@@ -797,9 +843,9 @@ fn matvec_rows(
         for (o, row) in out.iter_mut().zip(rows.chunks_exact(cols)) {
             let mut fold = Fold::EMPTY;
             for (rc, xc) in row.chunks(BLOCK).zip(rx.chunks(BLOCK)) {
-                let (a, b) = (&mut rr[..rc.len()], &xc[..rc.len()]);
+                let a = &mut rr[..rc.len()];
                 cv.to_raw_slice(rc, a);
-                fold.absorb(mode, a.len(), |j| mul.mul_raw(a[j], b[j]));
+                fold.absorb_products(mode, mul, a, xc);
             }
             *o = cv.from_raw(mode.sext(fold.bits(mode)));
         }
@@ -835,6 +881,7 @@ fn spmv_rows(
     out: &mut [f64],
 ) {
     let mut rv = [0i64; BLOCK];
+    let mut gx = [0i64; BLOCK];
     for (i, o) in out.iter_mut().enumerate() {
         let r = row_offset + i;
         let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
@@ -844,9 +891,13 @@ fn spmv_rows(
                 .chunks(BLOCK)
                 .zip(col_idx[lo..hi].chunks(BLOCK))
             {
-                let (a, jc) = (&mut rv[..vc.len()], &jc[..vc.len()]);
+                let n = vc.len();
+                let (a, g) = (&mut rv[..n], &mut gx[..n]);
                 cv.to_raw_slice(vc, a);
-                fold.absorb(mode, a.len(), |i| mul.mul_raw(a[i], rx[jc[i]]));
+                for (g, &j) in g.iter_mut().zip(jc) {
+                    *g = rx[j];
+                }
+                fold.absorb_products(mode, mul, a, g);
             }
             *o = cv.from_raw(mode.sext(fold.bits(mode)));
         } else {
@@ -1855,12 +1906,12 @@ mod tests {
                             .iter()
                             .fold(0u64, |acc, &p| mode.add_bits(acc, p as u64 & mode.mask));
                         let mut fold = Fold::EMPTY;
-                        fold.absorb(mode, n, |i| terms[i]);
+                        fold.absorb_raws(mode, &terms);
                         assert_eq!(fold.bits(mode), serial, "w={w} {policy:?} {level} n={n}");
                         // Absorbing in pieces is the same fold.
                         let mut pieces = Fold::EMPTY;
                         for part in terms.chunks(7) {
-                            pieces.absorb(mode, part.len(), |i| part[i]);
+                            pieces.absorb_raws(mode, part);
                         }
                         assert_eq!(pieces.bits(mode), serial, "w={w} {policy:?} {level} n={n}");
                     }

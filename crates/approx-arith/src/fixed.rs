@@ -253,15 +253,18 @@ impl RawConverter {
     /// is 0 and every comparison on NaN is false, so a NaN input falls
     /// through to 0 exactly like the scalar early return.
     ///
-    /// Formats of at most 32 bits take a shorter path: clamp in `f64`
-    /// first, then round half away from zero by adding
-    /// `±0.49999999999999994` (the largest `f64` below ½) and truncating
-    /// with a saturating `as i32`, which replaces the 64-bit
-    /// truncate-and-compare rounder. The clamped value is an `f64` of
-    /// magnitude at most 2³¹, where that sum rounds to the next integer
-    /// exactly when the discarded fraction is at least ½ (for 0.5 it
-    /// lands on the tie `1 − 2⁻⁵⁴`, which rounds to even, i.e. to 1).
-    /// NaN survives `f64::clamp` and the saturating cast maps it to 0.
+    /// Formats of at most 32 bits take a shorter path with no
+    /// float→int cast at all, so it vectorizes on baseline x86-64.
+    /// Clamp in `f64` first; the clamped `c` has |c| ≤ 2³¹. Then
+    /// `t = c + 1.5·2⁵²` lies in [2⁵², 2⁵³), where consecutive `f64`s
+    /// are 1 apart, so `t` is `1.5·2⁵²` plus `c` rounded to nearest,
+    /// ties to even, and that integer is `t`'s bit pattern minus the
+    /// constant's. `t − 1.5·2⁵²` is that even-rounded value exactly, and
+    /// so is the remainder `d = c − even` (|d| ≤ ½). A tie shows as
+    /// d = ±½; rounding half away from zero moves it one step further
+    /// out only when d has c's sign, i.e. when the even choice went
+    /// toward zero. NaN survives `f64::clamp`, and an explicit select
+    /// maps it to 0.
     ///
     /// # Panics
     /// Panics if `xs` and `out` have different lengths.
@@ -270,9 +273,15 @@ impl RawConverter {
         let max_f = self.max_raw as f64;
         let min_f = self.min_raw as f64;
         if self.max_raw <= i64::from(i32::MAX) {
+            const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 · 2⁵²
+            let magic_bits = MAGIC.to_bits() as i64;
             for (o, &x) in out.iter_mut().zip(xs) {
                 let c = (x * self.scale).clamp(min_f, max_f);
-                *o = i64::from((c + 0.499_999_999_999_999_94f64.copysign(c)) as i32);
+                let t = c + MAGIC;
+                let d = c - (t - MAGIC);
+                let away = i64::from((d == 0.5) & (c > 0.0)) - i64::from((d == -0.5) & (c < 0.0));
+                let r = (t.to_bits() as i64 - magic_bits) + away;
+                *o = if c.is_nan() { 0 } else { r };
             }
             return;
         }

@@ -261,6 +261,29 @@ fn matvec_slice_matches_scalar_default() {
     });
 }
 
+/// Dense widths around the short-row batching (`256 / cols` rows share
+/// one conversion block) and every remainder of the fold's four lanes.
+const MATVEC_COLS: [usize; 6] = [1, 3, 4, 10, 128, 256];
+
+/// Row counts that leave a partially filled conversion block at those
+/// widths (10 columns: 25 rows fill a block exactly, 26 and 53 do not).
+const MATVEC_ROWS: [usize; 4] = [1, 25, 26, 53];
+
+#[test]
+fn matvec_slice_matches_scalar_default_across_widths() {
+    for cols in MATVEC_COLS {
+        let name = format!("matvec_slice cols={cols}");
+        check_kernel_sizes(&name, &MATVEC_ROWS, |ctx, rng, n, span| {
+            let span = span / (cols as f64).sqrt();
+            let rows = random_slice(rng, n * cols, span);
+            let x = random_slice(rng, cols, span);
+            let mut out = vec![0.0; n];
+            ctx.matvec_slice(&rows, cols, &x, &mut out);
+            out
+        });
+    }
+}
+
 #[test]
 fn spmv_slice_matches_scalar_default() {
     check_kernel("spmv_slice", |ctx, rng, n, span| {

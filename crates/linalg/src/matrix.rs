@@ -201,11 +201,31 @@ impl LinearOperator for Matrix {
         ctx.matvec_slice(&self.data, self.cols, x, out);
     }
 
+    /// Each row is one left-to-right sum of `a_ij · x_j` from `+0.0`.
+    /// Four rows run side by side, so their independent sums overlap
+    /// the add latency a single serial row would wait on.
     fn apply_exact(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "vector length must equal column count");
         assert_eq!(out.len(), self.rows, "output length must equal row count");
-        for (o, row) in out.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-            *o = row.iter().zip(x).map(|(&a, &b)| a * b).sum();
+        let cols = self.cols;
+        let mut quads = out.chunks_exact_mut(4);
+        let mut blocks = self.data.chunks_exact(4 * cols);
+        for (o, block) in (&mut quads).zip(&mut blocks) {
+            let (r0, rest) = block.split_at(cols);
+            let (r1, rest) = rest.split_at(cols);
+            let (r2, r3) = rest.split_at(cols);
+            let mut acc = [0.0f64; 4];
+            for ((((&a0, &a1), &a2), &a3), &xj) in r0.iter().zip(r1).zip(r2).zip(r3).zip(x) {
+                acc[0] += a0 * xj;
+                acc[1] += a1 * xj;
+                acc[2] += a2 * xj;
+                acc[3] += a3 * xj;
+            }
+            o.copy_from_slice(&acc);
+        }
+        let tail = quads.into_remainder();
+        for (o, row) in tail.iter_mut().zip(blocks.remainder().chunks_exact(cols)) {
+            *o = row.iter().zip(x).fold(0.0, |acc, (&a, &b)| acc + a * b);
         }
     }
 
@@ -314,6 +334,46 @@ mod tests {
         ));
         assert_eq!(m.matvec(&mut ctx, &[2.0, 4.0]), m.matvec_exact(&[2.0, 4.0]));
         assert_eq!(ctx.counts().muls, 4);
+    }
+
+    #[test]
+    fn exact_apply_is_each_rows_fold_from_positive_zero() {
+        // Every row count mod 4 of the four-row blocks, against the
+        // serial fold, with signed zeros, subnormals and infinities.
+        let pool = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.25,
+            3e-3,
+            -7e5,
+        ];
+        let mut rng = approx_arith::rng::Pcg32::seeded(5, 17);
+        let mut draw = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|_| pool[rng.next_u32() as usize % pool.len()])
+                .collect()
+        };
+        for rows in 1..=9 {
+            for cols in [1, 2, 7, 64] {
+                let m = Matrix::from_vec(rows, cols, draw(rows * cols));
+                let x = draw(cols);
+                let got = m.matvec_exact(&x);
+                for (i, &g) in got.iter().enumerate() {
+                    let want = m.row(i).iter().zip(&x).fold(0.0, |s, (&a, &b)| s + a * b);
+                    if want.is_nan() {
+                        assert!(g.is_nan(), "{rows}x{cols} row {i}: {g} vs NaN");
+                    } else {
+                        assert_eq!(g.to_bits(), want.to_bits(), "{rows}x{cols} row {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use approx_arith::ArithContext;
 /// * `apply` and `apply_exact` compute the same mathematical product;
 ///   `apply` runs on the context's datapath (and is metered), while
 ///   `apply_exact` is the `f64` reference used for monitoring.
-/// * Each output row must be reduced left-to-right from `0.0` in a
+/// * Each output row must be reduced left-to-right from `+0.0` in a
 ///   format-deterministic order, so that two operators representing the
 ///   same matrix *and the same storage order* produce bit-identical
 ///   results on the same context.
@@ -147,6 +147,20 @@ mod tests {
     fn order_of_square_operator() {
         let m = Matrix::identity(3);
         assert_eq!(LinearOperator::order(&m), 3);
+    }
+
+    #[test]
+    fn exact_rows_start_at_positive_zero() {
+        // Both products are −0.0: a sum started at −0.0 stays −0.0, the
+        // contract's +0.0 start gives +0.0.
+        let dense = Matrix::from_rows(&[&[-1.0, -2.0]]);
+        let sparse = crate::CsrMatrix::from_dense(&dense);
+        for out in [
+            dense.matvec_exact(&[0.0, 0.0]),
+            sparse.matvec_exact(&[0.0, 0.0]),
+        ] {
+            assert_eq!(out[0].to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

@@ -14,6 +14,12 @@ use crate::method::IterativeMethod;
 
 /// One CG iterate: the solution estimate plus the residual and search
 /// direction recurrences.
+///
+/// The state also carries the exact product `A·x`, computed once when
+/// the iterate is made and read by every exact monitor. Editing `x` by
+/// hand leaves that product stale: the solver's monitors and residual
+/// replacement would then describe the old `x`. Build states with
+/// [`IterativeMethod::initial_state`] and [`IterativeMethod::step`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CgState {
     /// Solution estimate `x`.
@@ -22,6 +28,8 @@ pub struct CgState {
     pub r: Vec<f64>,
     /// Search direction `p`.
     pub p: Vec<f64>,
+    /// Exact `A·x` for this `x`.
+    ax: Vec<f64>,
 }
 
 /// Conjugate gradient on an SPD system behind any [`LinearOperator`]
@@ -34,7 +42,9 @@ pub struct CgState {
 /// are both modelled. Monitoring (objective, gradient, convergence) uses
 /// the exact residual `b − Ax`, not the recurrence residual — the
 /// recurrence drifts under approximation, and trusting it would hide
-/// exactly the failures ApproxIt exists to catch.
+/// exactly the failures ApproxIt exists to catch. The exact product
+/// `A·x` is applied once per iterate and kept in the [`CgState`], so
+/// residual replacement, the objective and the gradient share it.
 ///
 /// # Example
 ///
@@ -104,12 +114,12 @@ impl<A: LinearOperator> ConjugateGradient<A> {
     /// Exact residual `b − Ax` (monitoring).
     #[must_use]
     pub fn exact_residual(&self, x: &[f64]) -> Vec<f64> {
-        self.a
-            .matvec_exact(x)
-            .iter()
-            .zip(&self.b)
-            .map(|(&axi, &bi)| bi - axi)
-            .collect()
+        self.residual_from(&self.a.matvec_exact(x))
+    }
+
+    /// `b − ax` for a precomputed exact product `ax = A·x`.
+    fn residual_from(&self, ax: &[f64]) -> Vec<f64> {
+        ax.iter().zip(&self.b).map(|(&axi, &bi)| bi - axi).collect()
     }
 }
 
@@ -122,9 +132,10 @@ impl<A: LinearOperator> IterativeMethod for ConjugateGradient<A> {
 
     fn initial_state(&self) -> CgState {
         let x = vec![0.0; self.order()];
+        let ax = self.a.matvec_exact(&x);
         let r = self.b.clone();
         let p = self.b.clone();
-        CgState { x, r, p }
+        CgState { x, r, p, ax }
     }
 
     fn step(&self, state: &CgState, ctx: &mut dyn ArithContext) -> CgState {
@@ -136,7 +147,7 @@ impl<A: LinearOperator> IterativeMethod for ConjugateGradient<A> {
         // direction) whenever the stored residual drifts from the true
         // one by more than 1%; in exact and accurate runs the drift
         // stays at rounding level and the guard never fires.
-        let true_r = self.exact_residual(&state.x);
+        let true_r = self.residual_from(&state.ax);
         let drift = vector::dist2_exact(&state.r, &true_r);
         let refreshed;
         // audit:allow(taint-branch, residual-replacement guard deliberately compares fabric state against the exact monitor; recurrence drift is invisible to the objective)
@@ -145,6 +156,7 @@ impl<A: LinearOperator> IterativeMethod for ConjugateGradient<A> {
                 x: state.x.clone(),
                 p: true_r.clone(),
                 r: true_r,
+                ax: state.ax.clone(),
             };
             &refreshed
         } else {
@@ -157,11 +169,12 @@ impl<A: LinearOperator> IterativeMethod for ConjugateGradient<A> {
         if pap.abs() < 1e-300 || rr.abs() < 1e-300 {
             // Degenerate direction (possible under heavy approximation):
             // restart from the steepest descent at the current point.
-            let r = self.exact_residual(&state.x);
+            let r = self.residual_from(&state.ax);
             return CgState {
                 x: state.x.clone(),
                 p: r.clone(),
                 r,
+                ax: state.ax.clone(),
             };
         }
         let alpha = rr / pap; // exact scalar division
@@ -170,18 +183,18 @@ impl<A: LinearOperator> IterativeMethod for ConjugateGradient<A> {
         let rr_new = ctx.dot(&r, &r);
         let beta = rr_new / rr;
         let p = vector::axpy(ctx, beta, &state.p, &r);
-        CgState { x, r, p }
+        let ax = self.a.matvec_exact(&x);
+        CgState { x, r, p, ax }
     }
 
     /// Quadratic objective `½ xᵀAx − bᵀx` (exact).
     fn objective(&self, state: &CgState) -> f64 {
-        let ax = self.a.matvec_exact(&state.x);
-        0.5 * vector::dot_exact(&state.x, &ax) - vector::dot_exact(&self.b, &state.x)
+        0.5 * vector::dot_exact(&state.x, &state.ax) - vector::dot_exact(&self.b, &state.x)
     }
 
     /// Gradient `Ax − b` — the exact negated residual.
     fn gradient(&self, state: &CgState) -> Option<Vec<f64>> {
-        Some(self.exact_residual(&state.x).iter().map(|r| -r).collect())
+        Some(self.residual_from(&state.ax).iter().map(|r| -r).collect())
     }
 
     fn params(&self, state: &CgState) -> Vec<f64> {
@@ -213,6 +226,7 @@ mod tests {
     use super::*;
     use crate::method::run_to_convergence as run;
     use approx_arith::{AccuracyLevel, ArithContext, EnergyProfile, ExactContext, QcsContext};
+    use std::cell::Cell;
 
     fn profile() -> EnergyProfile {
         EnergyProfile::from_constants([1.0, 2.0, 3.0, 4.0, 5.0], 50.0, 100.0)
@@ -340,6 +354,144 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A dense operator that counts its exact applies.
+    struct CountingOp {
+        a: Matrix,
+        exact: Cell<usize>,
+    }
+
+    impl LinearOperator for CountingOp {
+        fn rows(&self) -> usize {
+            LinearOperator::rows(&self.a)
+        }
+
+        fn cols(&self) -> usize {
+            LinearOperator::cols(&self.a)
+        }
+
+        fn apply(&self, ctx: &mut dyn ArithContext, x: &[f64], out: &mut [f64]) {
+            self.a.apply(ctx, x, out);
+        }
+
+        fn apply_exact(&self, x: &[f64], out: &mut [f64]) {
+            self.exact.set(self.exact.get() + 1);
+            self.a.apply_exact(x, out);
+        }
+
+        fn diagonal(&self) -> Vec<f64> {
+            self.a.diagonal()
+        }
+
+        fn max_abs_entry(&self) -> f64 {
+            self.a.max_abs_entry()
+        }
+
+        fn off_diagonal_abs_row_sums(&self) -> Vec<f64> {
+            self.a.off_diagonal_abs_row_sums()
+        }
+
+        fn is_symmetric(&self, tol: f64) -> bool {
+            LinearOperator::is_symmetric(&self.a, tol)
+        }
+    }
+
+    fn counting_cg(a: Matrix, b: Vec<f64>) -> ConjugateGradient<CountingOp> {
+        let op = CountingOp {
+            a,
+            exact: Cell::new(0),
+        };
+        ConjugateGradient::new(op, b, 1e-12, 60)
+    }
+
+    /// Every step of 30-step runs on the tridiagonal system at every
+    /// accuracy level (Level1 drifts enough to trigger residual
+    /// replacement), plus an identity system that the first step solves
+    /// exactly: r is then 0, so every later step takes the degenerate
+    /// restart. `visit` gets the solver, the states before and after the
+    /// step, and the exact applies the step made.
+    fn visit_steps(
+        mut visit: impl FnMut(&ConjugateGradient<CountingOp>, &CgState, &CgState, usize),
+    ) {
+        let (tri, tri_b) = system(10);
+        let cases = AccuracyLevel::ALL
+            .into_iter()
+            .map(|level| (tri.clone(), tri_b.clone(), level))
+            .chain([(
+                Matrix::identity(4),
+                vec![1.0, 0.5, -0.25, 2.0],
+                AccuracyLevel::Accurate,
+            )]);
+        for (a, b, level) in cases {
+            let cg = counting_cg(a, b);
+            let mut ctx = QcsContext::with_profile(profile());
+            ctx.set_level(level);
+            let mut state = cg.initial_state();
+            for _ in 0..30 {
+                let before = cg.operator().exact.get();
+                let next = cg.step(&state, &mut ctx);
+                visit(&cg, &state, &next, cg.operator().exact.get() - before);
+                state = next;
+            }
+        }
+    }
+
+    #[test]
+    fn each_iterate_applies_a_exactly_once() {
+        let (a, b) = system(10);
+        let cg = counting_cg(a, b);
+        let _ = cg.initial_state();
+        assert_eq!(cg.operator().exact.get(), 1, "initial_state");
+        let (mut replaced, mut restarted) = (0, 0);
+        visit_steps(|cg, prev, next, applies| {
+            let a = &cg.operator().a;
+            let true_r: Vec<f64> = a
+                .matvec_exact(&prev.x)
+                .iter()
+                .zip(cg.rhs())
+                .map(|(&axi, &bi)| bi - axi)
+                .collect();
+            let drift = vector::dist2_exact(&prev.r, &true_r);
+            let moved = prev
+                .x
+                .iter()
+                .zip(&next.x)
+                .any(|(p, n)| p.to_bits() != n.to_bits());
+            if moved {
+                assert_eq!(applies, 1, "a step that moves x applies A once");
+                replaced += usize::from(drift > 0.01 * vector::norm2_exact(&true_r));
+            } else {
+                assert!(applies <= 1, "a frozen step applies A at most once");
+            }
+            if prev.r.iter().all(|&r| r == 0.0) {
+                // rᵀr = 0: the step must take the degenerate restart.
+                assert!(!moved);
+                assert_eq!(applies, 0, "the degenerate restart applies nothing");
+                restarted += 1;
+            }
+            let before = cg.operator().exact.get();
+            let _ = (cg.objective(next), cg.gradient(next));
+            assert_eq!(cg.operator().exact.get(), before, "monitors apply nothing");
+        });
+        assert!(replaced > 0, "no run exercised residual replacement");
+        assert!(restarted > 0, "no run exercised the degenerate restart");
+    }
+
+    #[test]
+    fn monitors_match_a_fresh_exact_product_bit_for_bit() {
+        visit_steps(|cg, prev, next, _| {
+            for s in [prev, next] {
+                let ax = cg.operator().a.matvec_exact(&s.x);
+                let b = cg.rhs();
+                let objective = 0.5 * vector::dot_exact(&s.x, &ax) - vector::dot_exact(b, &s.x);
+                assert_eq!(cg.objective(s).to_bits(), objective.to_bits());
+                let gradient = cg.gradient(s).expect("gradient available");
+                for ((g, &axi), &bi) in gradient.iter().zip(&ax).zip(b) {
+                    assert_eq!(g.to_bits(), (-(bi - axi)).to_bits());
+                }
+            }
+        });
     }
 
     #[test]
