@@ -936,9 +936,9 @@ fn spmv_rows(
 /// The slice kernels are overridden with raw-word loops that convert
 /// once per slice, hoist the level dispatch, and charge the meters in
 /// one integer bump — bit-identical to the scalar path but several times
-/// faster (see `bench --bin solverperf`). When an operand trace is being
-/// recorded the kernels fall back to the per-op path so the trace stays
-/// exactly what the scalar semantics would record.
+/// faster (perfbench's `approx_arith` layer times them). When an operand
+/// trace is being recorded the kernels fall back to the per-op path so
+/// the trace stays exactly what the scalar semantics would record.
 ///
 /// # Example
 ///
@@ -1515,9 +1515,9 @@ impl ArithContext for QcsContext {
 ///
 /// This is the reference the batched kernels are pinned against: for any
 /// inner context, `ScalarPath<C>` computes the exact values, counts, and
-/// energy the pre-kernel per-op code path produced. The `solverperf`
-/// benchmark times it as the scalar baseline, and the kernel property
-/// tests compare overrides to it bit for bit.
+/// energy the pre-kernel per-op code path produced. The kernel property
+/// tests compare the overrides to it bit for bit, and the
+/// parallel-identity tests do the same on whole solves.
 ///
 /// # Example
 ///

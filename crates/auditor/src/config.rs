@@ -52,12 +52,7 @@ impl AuditConfig {
             root: root.into(),
             result_affecting: own(&["approx-arith", "linalg", "solvers", "core"]),
             parallel_home: own(&["crates/parx/src/lib.rs"]),
-            wall_clock_allow: own(&[
-                "crates/bench/src/harness.rs",
-                "crates/bench/src/bin/perf.rs",
-                "crates/bench/src/bin/solverperf.rs",
-                "crates/bench/src/bin/sparseperf.rs",
-            ]),
+            wall_clock_allow: own(&["crates/bench/src/bin/perf.rs"]),
             panic_free: own(&["crates/core/src/service.rs", "crates/core/src/runner.rs"]),
             reduce_exempt: own(&["crates/parx/src/lib.rs"]),
             suppression_budget: 8,
@@ -101,16 +96,22 @@ mod tests {
             assert!(f != "crates/core/src/watchdog.rs");
         }
         assert!(cfg.taint_sanitizers.iter().any(|s| s == "endorse"));
+        // Every listed file exists, so deleting one cannot leave a stale
+        // allowance behind.
+        let workspace = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         for path in cfg
             .parallel_home
             .iter()
             .chain(&cfg.wall_clock_allow)
             .chain(&cfg.panic_free)
+            .chain(&cfg.reduce_exempt)
+            .chain(&cfg.taint_decision_files)
         {
             assert!(
                 path.starts_with("crates/"),
                 "allowlists are workspace-relative"
             );
+            assert!(workspace.join(path).is_file(), "{path} does not exist");
         }
     }
 }

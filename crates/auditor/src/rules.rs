@@ -624,7 +624,7 @@ mod tests {
         let src = "use std::time::Instant;\nfn f() { let _ = Instant::now(); }\n";
         let v = audit("crates/linalg/src/x.rs", src);
         assert_eq!(v.iter().filter(|v| v.rule == "wall-clock").count(), 2);
-        assert!(audit("crates/bench/src/harness.rs", src).is_empty());
+        assert!(audit("crates/bench/src/bin/perf.rs", src).is_empty());
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn wall_clock_fixture_is_caught() {
     let report = audit_at("crates/linalg/src/planted.rs", src);
     assert_eq!(spans(&report), [("wall-clock", 3), ("wall-clock", 6)]);
     // The same source is legal in an allowlisted bench timing file.
-    let allowed = audit_at("crates/bench/src/harness.rs", src);
+    let allowed = audit_at("crates/bench/src/bin/perf.rs", src);
     assert!(allowed.violations.is_empty());
 }
 

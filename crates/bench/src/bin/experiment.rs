@@ -57,16 +57,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--method" => options.method = take_value("--method")?,
             "--dataset" => options.dataset = take_value("--dataset")?,
             "--strategy" => options.strategy = take_value("--strategy")?,
-            "--f" => {
-                options.update_period = take_value("--f")?
-                    .parse()
-                    .map_err(|_| "--f expects a positive integer".to_owned())?;
-            }
-            "--grid" => {
-                options.grid = take_value("--grid")?
-                    .parse()
-                    .map_err(|_| "--grid expects a positive integer".to_owned())?;
-            }
+            "--f" => options.update_period = positive("--f", &take_value("--f")?)?,
+            "--grid" => options.grid = positive("--grid", &take_value("--grid")?)?,
             "--csv" => options.csv = true,
             "--help" | "-h" => {
                 return Err("usage: experiment --method gmm|ar|kmeans|poisson \
@@ -79,6 +71,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         i += 1;
     }
     Ok(options)
+}
+
+/// Parse the value of `flag`, which must be an integer above 0.
+fn positive(flag: &str, value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} expects a positive integer")),
+    }
 }
 
 /// Everything the harness needs from a method, type-erased per method
@@ -238,4 +238,32 @@ fn main() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        let owned: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse_args(&owned)
+    }
+
+    #[test]
+    fn update_period_must_be_positive() {
+        assert_eq!(parse(&["--f", "3"]).map(|o| o.update_period), Ok(3));
+        for bad in ["0", "-1", "x"] {
+            let err = parse(&["--f", bad]).err();
+            assert_eq!(err.as_deref(), Some("--f expects a positive integer"));
+        }
+    }
+
+    #[test]
+    fn grid_must_be_positive() {
+        assert_eq!(parse(&["--grid", "5"]).map(|o| o.grid), Ok(5));
+        for bad in ["0", "-1", "x"] {
+            let err = parse(&["--grid", bad]).err();
+            assert_eq!(err.as_deref(), Some("--grid expects a positive integer"));
+        }
+    }
 }

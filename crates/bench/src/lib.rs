@@ -16,17 +16,18 @@
 //! | `resilience` | fault campaign: quality vs fault rate under the runner watchdog |
 //! | `survey`  | adder design-space survey: error × energy × delay |
 //! | `perf`    | packed-vs-scalar cross-check + exhaustive-sweep speedup measurement |
+//! | `chaos`   | solver-service chaos campaign: invariants under composed faults |
+//! | `audit`   | workspace determinism & hermeticity audit (the CI lint gate) |
 //! | `experiment` | general runner for ad-hoc method/dataset/strategy sweeps |
 //!
 //! This library holds the shared experiment definitions so the binaries,
-//! the integration tests, and the micro-benchmarks agree on every
+//! the integration tests, and the `perfbench` benchmark agree on every
 //! parameter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod harness;
 pub mod render;
 pub mod specs;
 pub mod tables;

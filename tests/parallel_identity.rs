@@ -5,6 +5,9 @@
 //! per-op reference path, or row/chunk-partitioned across any number of
 //! `parx` worker threads.
 //!
+//! The same holds for whole solves built on those kernels: dense CG,
+//! AR, GMM and CSR Jacobi, and CG on a 100,489-unknown CSR system.
+//!
 //! This is the executable form of the determinism contract in
 //! `DESIGN.md` §16: indexed work, fixed chunk geometry (never derived
 //! from the thread count), and in-order reduction of per-chunk partials.
@@ -13,7 +16,10 @@ use approx_arith::{
     AccuracyLevel, ArithContext, EnergyProfile, LowPartPolicy, OpCounts, QFormat, QcsAdder,
     QcsContext, ScalarPath,
 };
+use approx_linalg::{CsrMatrix, Matrix};
+use iter_solvers::datasets::{ar_series, gaussian_blobs};
 use iter_solvers::rng::Pcg32;
+use iter_solvers::{AutoRegression, ConjugateGradient, GaussianMixture, IterativeMethod, Jacobi};
 use parx::Executor;
 
 fn profile() -> EnergyProfile {
@@ -203,4 +209,104 @@ fn chunked_conversions_match_scalar_and_replay() {
             );
         }
     }
+}
+
+/// A dense, well-conditioned SPD system: `A = M·Mᵀ/n + I`.
+fn spd_system(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
+    let mut rng = Pcg32::seeded(seed, 0);
+    let mut m = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            m[(i, j)] = rng.uniform(-1.0, 1.0);
+        }
+    }
+    let mut a = m.matmul_exact(&m.transpose());
+    for i in 0..n {
+        for j in 0..n {
+            a[(i, j)] /= n as f64;
+        }
+        a[(i, i)] += 1.0;
+    }
+    let b = vec_of(n, -2.0, 2.0, &mut rng);
+    (a, b)
+}
+
+/// Step `method` `iters` times from its initial state on `ctx`; the
+/// run's values are the method's parameters.
+fn drive<M: IterativeMethod>(method: &M, ctx: &mut dyn ArithContext, iters: usize) -> Run {
+    let mut state = method.initial_state();
+    for _ in 0..iters {
+        state = method.step(&state, ctx);
+    }
+    Run {
+        values: method.params(&state),
+        counts: ctx.counts(),
+        energy: ctx.total_energy(),
+    }
+}
+
+/// Whole solves: the batched kernels on a context with no executor
+/// match the scalar per-op path, and a 7-thread executor matches the
+/// context with none. Every size makes each step's matvec or spmv
+/// cross the parallel-dispatch gate (`PAR_MIN_OPS` = 4096 fabric ops)
+/// and split into at least two chunks: CG 128² = 16,384 ops, AR
+/// 792 × 8 = 6,336, GMM 3 × 700 points × 2 = 4,200, Jacobi ≈ 11,300
+/// stored entries. Jacobi also runs at Level4: at Level2 every update
+/// truncates away and the iterate stays all zeros, so there only the
+/// counts and energy can differ.
+#[test]
+fn solves_are_bit_identical_across_paths_and_thread_counts() {
+    fn check<M: IterativeMethod>(label: &str, method: &M, level: AccuracyLevel, iters: usize) {
+        let ctx = || {
+            let mut ctx = QcsContext::with_profile(profile());
+            ctx.set_level(level);
+            ctx
+        };
+        let scalar = drive(method, &mut ScalarPath::new(ctx()), iters);
+        let serial = drive(method, &mut ctx(), iters);
+        let exec = Executor::with_threads(7);
+        let parallel = drive(method, &mut ctx().with_executor(exec), iters);
+        let case = format!("{label} {level}");
+        assert_runs_match(&format!("{case}: batched vs scalar"), &scalar, &serial);
+        assert_runs_match(&format!("{case}: 7 threads vs none"), &serial, &parallel);
+    }
+
+    let (a, b) = spd_system(128, 17);
+    let cg = ConjugateGradient::new(a, b, 1e-12, 60);
+    check("cg n=128", &cg, AccuracyLevel::Level2, 60);
+
+    let coeffs = [0.55, -0.2, 0.1, 0.05, -0.03, 0.02, 0.01, -0.01];
+    let series = ar_series("perf-ar", 800, &coeffs, 0.05, 18);
+    let ar = AutoRegression::from_series(&series, 0.05, 1e-12, 25);
+    check("ar N=800 p=8", &ar, AccuracyLevel::Level2, 25);
+
+    let centers = [vec![0.0, 0.0], vec![6.0, 0.0], vec![3.0, 5.0]];
+    let blobs = gaussian_blobs("perf-gmm", &[700; 3], &centers, &[0.8; 3], 19);
+    let gmm = GaussianMixture::from_dataset(&blobs, 1e-12, 6, 3);
+    check("gmm k=3 n=2100", &gmm, AccuracyLevel::Level3, 6);
+
+    let grid = 48;
+    let b: Vec<f64> = (0..grid * grid).map(|i| 0.5 + 0.001 * i as f64).collect();
+    let jacobi = Jacobi::new(CsrMatrix::poisson5(grid, grid), b, 0.8, 1e-12, 40);
+    for level in [AccuracyLevel::Level2, AccuracyLevel::Level4] {
+        check("jacobi 48x48", &jacobi, level, 40);
+    }
+}
+
+/// CG on the 317² = 100,489-unknown Poisson stencil, Q31.32 at
+/// `Accurate`: 4 workers reproduce 1 worker in values, counts and
+/// energy over 12 steps.
+#[test]
+fn large_sparse_cg_is_bit_identical_on_one_and_four_threads() {
+    let nx = 317;
+    let mut rng = Pcg32::seeded(7, 3);
+    let b = vec_of(nx * nx, -1.0, 1.0, &mut rng);
+    let cg = ConjugateGradient::new(CsrMatrix::poisson5(nx, nx), b, 1e-10, 12);
+    let q31 = |threads| {
+        ctx_for(QFormat::Q31_32, [36, 24, 12, 6], AccuracyLevel::Accurate)
+            .with_executor(Executor::with_threads(threads))
+    };
+    let one = drive(&cg, &mut q31(1), 12);
+    let four = drive(&cg, &mut q31(4), 12);
+    assert_runs_match("cg n=100489: 4 threads vs 1", &one, &four);
 }

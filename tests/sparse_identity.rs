@@ -2,9 +2,11 @@
 //! `CsrMatrix` is the *same operator* as its dense image at every
 //! accuracy level (bit-identical values, compared through
 //! `f64::to_bits`), and the sparse workloads run end to end under the
-//! ApproxIt controller at debug-feasible sizes.
+//! ApproxIt controller — at debug-feasible sizes, plus one
+//! 100,489-unknown solve that runs in release builds only.
 
 use approx_arith::{AccuracyLevel, LowPartPolicy, QFormat, QcsAdder};
+use approx_linalg::vector;
 use approxit::prelude::*;
 use iter_solvers::datasets::{ring_with_chords, PoissonSource};
 use iter_solvers::rng::Pcg32;
@@ -39,9 +41,9 @@ fn ctx_for(format: QFormat, approx_bits: [u32; 4], level: AccuracyLevel) -> QcsC
     ctx
 }
 
-/// A random sparse matrix with a few entries per row, including
-/// explicitly stored zeros (legal in CSR, and a case where a naive
-/// "skip zeros" shortcut would change operation counts).
+/// A random dense matrix with a few nonzeros per row. Some draws write
+/// `0.0`; `CsrMatrix::from_dense` drops those, so its CSR image stores
+/// no zeros ([`random_csr`] builds the stored-zero cases).
 fn random_sparse(rows: usize, cols: usize, per_row: usize, rng: &mut Pcg32) -> Matrix {
     let mut dense = Matrix::zeros(rows, cols);
     for i in 0..rows {
@@ -58,22 +60,65 @@ fn random_sparse(rows: usize, cols: usize, per_row: usize, rng: &mut Pcg32) -> M
     dense
 }
 
+/// A random CSR matrix with about `density · cols` entries per row and
+/// at least one per row, built through `from_triplets`. About one
+/// entry in 8 is an explicitly stored `0.0` (legal in CSR, and a case
+/// where a naive "skip zeros" shortcut would change operation counts).
+fn random_csr(rows: usize, cols: usize, density: f64, rng: &mut Pcg32) -> CsrMatrix {
+    let mut triplets = Vec::new();
+    for i in 0..rows {
+        for j in 0..cols {
+            if rng.next_f64() < density {
+                let v = if rng.next_u32().is_multiple_of(8) {
+                    0.0
+                } else {
+                    rng.uniform(-2.0, 2.0)
+                };
+                triplets.push((i, j, v));
+            }
+        }
+        if triplets.last().is_none_or(|&(r, _, _)| r != i) {
+            triplets.push((i, rng.below(cols as u64) as usize, 1.0));
+        }
+    }
+    CsrMatrix::from_triplets(rows, cols, &triplets)
+}
+
+/// Dense matrices compressed by `from_dense`, and CSR matrices with
+/// stored zeros expanded by `to_dense`: a stored zero must act exactly
+/// like an absent entry.
 #[test]
 fn csr_matvec_is_bit_identical_to_dense_across_formats_and_levels() {
+    let mut cases = Vec::new();
     let mut rng = Pcg32::seeded(0x5fa11, 1);
     for case in 0..4 {
         let rows = 5 + 3 * case;
         let cols = 4 + 2 * case;
         let dense = random_sparse(rows, cols, 3, &mut rng);
         let csr = CsrMatrix::from_dense(&dense);
-        assert!(csr.check_invariants());
         let x: Vec<f64> = (0..cols).map(|_| rng.uniform(-1.5, 1.5)).collect();
+        cases.push((dense, csr, x));
+    }
+    // Most streams leave the 8×5 case at 5% density (about two random
+    // entries) with no stored zero; this one stores one in every case.
+    let mut rng = Pcg32::seeded(2, 1);
+    for case in 0..6 {
+        let rows = 8 + (case * 7) % 30;
+        let cols = 5 + (case * 11) % 30;
+        let density = [0.05, 0.3, 0.9][case % 3];
+        let csr = random_csr(rows, cols, density, &mut rng);
+        assert!(csr.values().contains(&0.0), "case {case} stores no zero");
+        let x: Vec<f64> = (0..cols).map(|_| rng.uniform(-3.0, 3.0)).collect();
+        cases.push((csr.to_dense(), csr, x));
+    }
+    for (case, (dense, csr, x)) in cases.iter().enumerate() {
+        assert!(csr.check_invariants());
         for (format, approx_bits) in formats() {
             for level in LEVELS {
                 let mut dctx = ctx_for(format, approx_bits, level);
                 let mut sctx = ctx_for(format, approx_bits, level);
-                let yd = dense.matvec(&mut dctx, &x);
-                let ys = csr.matvec(&mut sctx, &x);
+                let yd = dense.matvec(&mut dctx, x);
+                let ys = csr.matvec(&mut sctx, x);
                 for (i, (a, b)) in yd.iter().zip(&ys).enumerate() {
                     assert_eq!(
                         a.to_bits(),
@@ -161,21 +206,92 @@ fn sparse_cg_under_the_controller_matches_truth_quality() {
 /// (not the phantom kind where truncation destroys stored mass).
 #[test]
 fn pagerank_push_under_the_controller_really_converges() {
-    let n = 120;
-    let graph = ring_with_chords(n, 2, 0xBEEF);
-    let ppr = PersonalizedPageRank::new(graph, 5, 0.2, 5e-4, 300);
-    let table = characterize(&ppr, &profile(), 4);
-    let mut ctx = QcsContext::with_profile(profile());
-    let mut adaptive = AdaptiveAngleStrategy::from_characterization(&table, 1);
-    let run = RunConfig::new(&ppr, &mut ctx).execute(&mut adaptive);
-    assert!(run.report.converged, "queue did not drain");
-    let mass = ppr.residual_mass(&run.state);
-    // Every node's residual is below its eps·deg threshold, so the
-    // total exact mass is bounded by eps·(total out-degree) = eps·nnz.
-    let bound = 5e-4 * 3.0 * n as f64;
+    // (nodes, chords per node, graph seed, source, α, ε, iteration cap)
+    let cases = [
+        (120, 2, 0xBEEF, 5, 0.2, 5e-4, 300),
+        (600, 3, 24, 0, 0.15, 1e-4, 2000),
+    ];
+    for (n, chords, seed, source, alpha, eps, cap) in cases {
+        let graph = ring_with_chords(n, chords, seed);
+        let ppr = PersonalizedPageRank::new(graph, source, alpha, eps, cap);
+        let table = characterize(&ppr, &profile(), 4);
+        let mut ctx = QcsContext::with_profile(profile());
+        let mut adaptive = AdaptiveAngleStrategy::from_characterization(&table, 1);
+        let run = RunConfig::new(&ppr, &mut ctx).execute(&mut adaptive);
+        assert!(run.report.converged, "n={n}: queue did not drain");
+        assert!(run.state.active.is_empty(), "n={n}: queue not empty");
+        let mass = ppr.residual_mass(&run.state);
+        // Every node's residual is below its eps·deg threshold, so the
+        // total exact mass is bounded by eps·(total out-degree) = eps·nnz.
+        let bound = eps * ppr.graph().nnz() as f64;
+        assert!(
+            mass <= bound,
+            "n={n}: exact residual mass {mass:e} above {bound:e}"
+        );
+    }
+}
+
+/// Whole CG trajectories: the dense and CSR images of a 14² Poisson
+/// stencil step through the same iterates, bit for bit, for 25 steps
+/// at every level.
+#[test]
+fn cg_trajectories_are_identical_under_dense_and_csr_operators() {
+    let g = 14;
+    let sparse = CsrMatrix::poisson5(g, g);
+    let dense = sparse.to_dense();
+    let mut rng = Pcg32::seeded(23, 3);
+    let b: Vec<f64> = (0..g * g).map(|_| rng.uniform(-1.0, 1.0)).collect();
+    let cgs = ConjugateGradient::new(sparse, b.clone(), 1e-12, 60);
+    let cgd = ConjugateGradient::new(dense, b, 1e-12, 60);
+    for level in LEVELS {
+        let mut cs = QcsContext::with_profile(profile());
+        cs.set_level(level);
+        let mut cd = cs.clone();
+        let mut ss = cgs.initial_state();
+        let mut sd = cgd.initial_state();
+        for step in 1..=25 {
+            ss = cgs.step(&ss, &mut cs);
+            sd = cgd.step(&sd, &mut cd);
+            for (i, (a, b)) in ss.x.iter().zip(&sd.x).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{level} step {step} x[{i}]: csr {a:e} vs dense {b:e}"
+                );
+            }
+        }
+    }
+}
+
+/// The graph-scale solve: CG on the 317² = 100,489-unknown Poisson
+/// stencil under the adaptive controller, on a truncating Q31.32
+/// datapath. A 100k-term dot overflows Q15.16's ±32768 integer range,
+/// and CG at condition number ≈4·10⁴ needs a resolution far below
+/// 2⁻¹⁶. The bound, 2.5e-2 relative error against the manufactured
+/// solution, is about 3× the accurate-only Q31.32 floor (≈8e-3) on
+/// this system.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "about 26 s in release and minutes in debug; CI runs it with --release"
+)]
+fn large_sparse_cg_under_the_controller_meets_its_error_bound() {
+    let nx = 317;
+    let a = CsrMatrix::poisson5(nx, nx);
+    let mut rng = Pcg32::seeded(23, 2);
+    let truth: Vec<f64> = (0..nx * nx).map(|_| rng.uniform(-1.0, 1.0)).collect();
+    let b = a.matvec_exact(&truth);
+    let cg = ConjugateGradient::new(a, b, 1e-10, 900);
+    let mut ctx = ctx_for(QFormat::Q31_32, [36, 24, 12, 6], AccuracyLevel::Accurate);
+    let table = characterize_on(&cg, &ctx, 3);
+    let mut strategy = AdaptiveAngleStrategy::from_characterization(&table, 1);
+    let run = RunConfig::new(&cg, &mut ctx).execute(&mut strategy);
+    let rel = vector::dist2_exact(&run.state.x, &truth) / vector::norm2_exact(&truth);
     assert!(
-        mass <= bound,
-        "exact residual mass {mass:e} above {bound:e}"
+        rel < 2.5e-2,
+        "relative L2 error {rel:e} after {} iterations (steps {:?})",
+        run.report.iterations,
+        run.report.steps_per_level
     );
 }
 
