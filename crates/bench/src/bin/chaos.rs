@@ -30,9 +30,8 @@
 //!    instead of poisoning the drain; the deadline-starved
 //!    ill-conditioned request exhausts its attempts and fails.
 //!
-//! Modes: default, `--smoke` (CI: smaller fleet, fewer thread counts).
-//! `--json PATH` writes the machine-readable summary (`BENCH_chaos.json`
-//! in CI).
+//! `--json PATH` writes the machine-readable summary; CI diffs it
+//! against the committed `BENCH_chaos.json`.
 
 use std::process::ExitCode;
 
@@ -53,6 +52,15 @@ use approx_linalg::Matrix;
 const SEED: u64 = 0xC4A0;
 /// Low result bits exposed to upsets during the storm.
 const FAULT_BITS: u32 = 16;
+/// Requests in the fault storm and in the clean wave.
+const STORM: usize = 6;
+const CLEAN: usize = 6;
+/// Queue capacity, and burst submissions beyond it.
+const CAPACITY: usize = 10;
+const OVERFLOW: usize = 5;
+/// Executor thread counts the campaign is replayed at; the first is the
+/// serial reference.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// A well-conditioned SPD system `A = M·Mᵀ/n + I`.
 fn spd_system(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
@@ -134,17 +142,10 @@ struct Campaign {
     max_attempts: usize,
 }
 
-struct Scale {
-    storm: usize,
-    clean: usize,
-    capacity: usize,
-    overflow: usize,
-}
-
-fn run_campaign(threads: usize, scale: &Scale, seed: u64) -> Campaign {
+fn run_campaign(threads: usize, seed: u64) -> Campaign {
     let exec = Executor::with_threads(threads);
     let config = ServiceConfig {
-        queue_capacity: scale.capacity,
+        queue_capacity: CAPACITY,
         max_attempts: 4,
         breaker: BreakerConfig {
             failure_threshold: 2,
@@ -158,7 +159,7 @@ fn run_campaign(threads: usize, scale: &Scale, seed: u64) -> Campaign {
 
     // Phase 1 — fault storm: heavy SEUs confined to the two cheapest
     // levels; every request starts on the cheapest.
-    let storm_ids: Vec<u64> = (0..scale.storm)
+    let storm_ids: Vec<u64> = (0..STORM)
         .map(|i| {
             service
                 .submit(healthy(8 + i % 3, seed ^ (0x100 + i as u64)))
@@ -173,7 +174,7 @@ fn run_campaign(threads: usize, scale: &Scale, seed: u64) -> Campaign {
 
     // Phase 2 — clean wave: the storm has passed; fresh traffic probes
     // the quarantined levels and heals them.
-    let clean_ids: Vec<u64> = (0..scale.clean)
+    let clean_ids: Vec<u64> = (0..CLEAN)
         .map(|i| {
             service
                 .submit(healthy(8 + i % 3, seed ^ (0x200 + i as u64)))
@@ -198,7 +199,7 @@ fn run_campaign(threads: usize, scale: &Scale, seed: u64) -> Campaign {
         .id();
     burst_ids.push(nan_id);
     let mut shed_count = 0;
-    for i in 0..scale.capacity - 2 + scale.overflow {
+    for i in 0..CAPACITY - 2 + OVERFLOW {
         let submission = service.submit(healthy(8 + i % 3, seed ^ (0x500 + i as u64)));
         if !submission.accepted() {
             shed_count += 1;
@@ -263,37 +264,23 @@ fn fingerprint(campaign: &Campaign) -> (String, Vec<Option<Vec<u64>>>) {
 
 fn main() -> ExitCode {
     let opts = BenchOpts::parse();
-    let smoke = opts.has_flag("--smoke");
+    if let Some(flag) = opts.rest().first() {
+        eprintln!("chaos: unknown flag {flag}");
+        return ExitCode::FAILURE;
+    }
     let seed = opts.seed_or(SEED);
-    let scale = if smoke {
-        Scale {
-            storm: 3,
-            clean: 3,
-            capacity: 5,
-            overflow: 3,
-        }
-    } else {
-        Scale {
-            storm: 6,
-            clean: 6,
-            capacity: 10,
-            overflow: 5,
-        }
-    };
-    let thread_counts: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
     opts.say(&format!(
-        "chaos: service campaign (storm {}, clean {}, burst {}+{} over capacity), \
-         threads {thread_counts:?}, seed {seed:#x}",
-        scale.storm, scale.clean, scale.capacity, scale.overflow
+        "chaos: service campaign (storm {STORM}, clean {CLEAN}, burst {CAPACITY}+{OVERFLOW} \
+         over capacity), threads {THREADS:?}, seed {seed:#x}"
     ));
     let mut c = Checker::new(opts.quiet);
 
     // Invariant 2 (determinism) drives the structure: replay the whole
     // campaign per thread count and demand bit-identical results.
-    let reference = run_campaign(thread_counts[0], &scale, seed);
+    let reference = run_campaign(THREADS[0], seed);
     let reference_print = fingerprint(&reference);
-    for &threads in &thread_counts[1..] {
-        let replay = run_campaign(threads, &scale, seed);
+    for threads in THREADS[1..].iter().copied() {
+        let replay = run_campaign(threads, seed);
         c.check(
             &format!("determinism: campaign at {threads} threads matches the serial reference"),
             fingerprint(&replay) == reference_print,
@@ -412,12 +399,12 @@ fn main() -> ExitCode {
     let burst_counts = reference.burst.counts();
     c.check(
         "shedding: exactly the over-capacity tail of the burst was shed",
-        reference.shed_count == scale.overflow && burst_counts.shed == scale.overflow,
+        reference.shed_count == OVERFLOW && burst_counts.shed == OVERFLOW,
         &format!(
             "{} shed of {} submitted (capacity {})",
             burst_counts.shed,
             reference.burst_ids.len(),
-            scale.capacity
+            CAPACITY
         ),
     );
     let shed_sound = reference

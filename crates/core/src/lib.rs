@@ -129,3 +129,9 @@ pub mod prelude {
     pub use approx_linalg::{CsrMatrix, LinearOperator, Matrix};
     pub use iter_solvers::{IterativeMethod, PersonalizedPageRank};
 }
+
+/// The README's Rust blocks, compiled as doctests so they keep up with
+/// the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;
