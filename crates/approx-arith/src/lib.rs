@@ -43,6 +43,7 @@ mod fixed;
 mod gear;
 mod loa;
 mod multiplier;
+mod operand;
 mod prefix;
 mod recon;
 mod trunc;
@@ -67,6 +68,7 @@ pub use fixed::{QFormat, RawConverter};
 pub use gear::GeArAdder;
 pub use loa::LowerOrAdder;
 pub use multiplier::ArrayMultiplier;
+pub use operand::Operand;
 pub use prefix::KoggeStoneAdder;
 pub use range::{ExprId, Interval, RangeConfig, RangeGraph, RangeReport, RangeVerdict};
 pub use recon::{LowPartPolicy, QcsAdder, QcsModeAdder};

@@ -12,8 +12,8 @@
 
 use approx_arith::rng::Pcg32;
 use approx_arith::{
-    AccuracyLevel, ArithContext, EnergyProfile, LowPartPolicy, OpCounts, QFormat, QcsAdder,
-    QcsContext, ScalarPath,
+    AccuracyLevel, ArithContext, EnergyProfile, LowPartPolicy, OpCounts, Operand, QFormat,
+    QcsAdder, QcsContext, ScalarPath,
 };
 
 fn profile() -> EnergyProfile {
@@ -247,17 +247,38 @@ fn dot_slice_matches_scalar_default() {
     });
 }
 
+/// `matvec_slice` over `rows`, then `matvec_operand` over the same rows
+/// twice: on the same `x`, then on a fresh vector, so the second call
+/// reads the cached words under a new bound. All three outputs, in
+/// order.
+fn matvec_kernels(
+    ctx: &mut dyn ArithContext,
+    rng: &mut Pcg32,
+    rows: Vec<f64>,
+    cols: usize,
+    span: f64,
+) -> Vec<f64> {
+    let n = rows.len() / cols;
+    let x = random_slice(rng, cols, span);
+    let mut out = vec![0.0; 3 * n];
+    let (sliced, cached) = out.split_at_mut(n);
+    let (first, second) = cached.split_at_mut(n);
+    ctx.matvec_slice(&rows, cols, &x, sliced);
+    let rows = Operand::new(rows);
+    ctx.matvec_operand(&rows, cols, &x, first);
+    let x = random_slice(rng, cols, span);
+    ctx.matvec_operand(&rows, cols, &x, second);
+    out
+}
+
 #[test]
 fn matvec_slice_matches_scalar_default() {
-    check_kernel("matvec_slice", |ctx, rng, n, span| {
+    check_kernel("matvec_slice+operand", |ctx, rng, n, span| {
         // n rows × 7 columns; span shrinks with the reduction length.
         let cols = 7;
         let span = span / (cols as f64).sqrt();
         let rows = random_slice(rng, n * cols, span);
-        let x = random_slice(rng, cols, span);
-        let mut out = vec![0.0; n];
-        ctx.matvec_slice(&rows, cols, &x, &mut out);
-        out
+        matvec_kernels(ctx, rng, rows, cols, span)
     });
 }
 
@@ -272,14 +293,11 @@ const MATVEC_ROWS: [usize; 4] = [1, 25, 26, 53];
 #[test]
 fn matvec_slice_matches_scalar_default_across_widths() {
     for cols in MATVEC_COLS {
-        let name = format!("matvec_slice cols={cols}");
+        let name = format!("matvec_slice+operand cols={cols}");
         check_kernel_sizes(&name, &MATVEC_ROWS, |ctx, rng, n, span| {
             let span = span / (cols as f64).sqrt();
             let rows = random_slice(rng, n * cols, span);
-            let x = random_slice(rng, cols, span);
-            let mut out = vec![0.0; n];
-            ctx.matvec_slice(&rows, cols, &x, &mut out);
-            out
+            matvec_kernels(ctx, rng, rows, cols, span)
         });
     }
 }
@@ -338,13 +356,10 @@ fn sum_slice_long_reductions_match_scalar_default() {
 
 #[test]
 fn matvec_slice_long_rows_match_scalar_default() {
-    check_kernel_sizes("matvec_slice", &LONG, |ctx, rng, n, span| {
+    check_kernel_sizes("matvec_slice+operand", &LONG, |ctx, rng, n, span| {
         // 3 rows × n columns.
         let rows = random_slice(rng, 3 * n, span);
-        let x = random_slice(rng, n, span);
-        let mut out = vec![0.0; 3];
-        ctx.matvec_slice(&rows, n, &x, &mut out);
-        out
+        matvec_kernels(ctx, rng, rows, n, span)
     });
 }
 

@@ -88,6 +88,7 @@ pub const CTX_OPS: &[&str] = &[
     "dot_slice",
     "sum_slice",
     "matvec_slice",
+    "matvec_operand",
     "spmv_slice",
 ];
 
@@ -1263,7 +1264,7 @@ impl<'w, 'o> FnPass<'w, 'o> {
         // Slice kernels write fabric results into their out parameter.
         let out_arg = match name {
             "add_slice" | "sub_slice" | "scale_slice" | "axpy_slice" | "matvec_slice"
-            | "spmv_slice" => args.len().checked_sub(1),
+            | "matvec_operand" | "spmv_slice" => args.len().checked_sub(1),
             "add_assign_slice" | "axpy_assign_slice" => Some(0),
             _ => None,
         };

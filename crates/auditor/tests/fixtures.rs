@@ -325,6 +325,24 @@ fn taint_spmv_out_slice_steering_index_arithmetic_is_caught() {
 }
 
 #[test]
+fn taint_matvec_operand_out_slice_steering_a_branch_is_caught() {
+    let report = audit_files(&[(
+        "crates/solvers/src/planted.rs",
+        include_str!("fixtures/taint_matvec_operand.rs"),
+    )]);
+    // Caught only while `matvec_operand` is both a fabric op and a
+    // kernel with an out-slice: the branch reads the out-slice, not a
+    // return value.
+    assert_eq!(spans(&report), [("taint-branch", 10)]);
+    let v = &report.violations[0];
+    assert!(
+        v.trace.iter().any(|h| h.line == 9),
+        "source hop at the matvec_operand call: {:?}",
+        v.trace
+    );
+}
+
+#[test]
 fn taint_suppressed_fixture_lands_in_suppressed() {
     let report = audit_files(&[(
         "crates/solvers/src/planted.rs",

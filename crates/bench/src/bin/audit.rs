@@ -37,7 +37,7 @@ use auditor::report::{check_schema, parse_violation_keys};
 use auditor::{audit_sources, collect_sources, taint, AuditConfig, Violation, RULES};
 
 fn main() -> ExitCode {
-    let mut opts = BenchOpts::parse();
+    let mut opts = BenchOpts::parse_for("audit", &[], &["--baseline", "--dot"]);
     let json = opts.json.take(); // reserved for the audit report itself
     let baseline_path = opts.flag_value("--baseline").map(PathBuf::from);
     let dot_path = opts.flag_value("--dot").map(PathBuf::from);

@@ -263,11 +263,7 @@ fn fingerprint(campaign: &Campaign) -> (String, Vec<Option<Vec<u64>>>) {
 }
 
 fn main() -> ExitCode {
-    let opts = BenchOpts::parse();
-    if let Some(flag) = opts.rest().first() {
-        eprintln!("chaos: unknown flag {flag}");
-        return ExitCode::FAILURE;
-    }
+    let opts = BenchOpts::parse_for("chaos", &[], &[]);
     let seed = opts.seed_or(SEED);
     opts.say(&format!(
         "chaos: service campaign (storm {STORM}, clean {CLEAN}, burst {CAPACITY}+{OVERFLOW} \

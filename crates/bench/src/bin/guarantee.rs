@@ -393,7 +393,7 @@ fn dominance_stage(c: &mut Checker, loads: &[Workload], ctx: &mut QcsContext) {
 }
 
 fn main() -> ExitCode {
-    let opts = BenchOpts::parse();
+    let opts = BenchOpts::parse_for("guarantee", &[], &[]);
     opts.say("guarantee: controller model checking + static error-propagation proofs");
     let mut c = Checker::new(opts.quiet);
     modelcheck_stage(&mut c);

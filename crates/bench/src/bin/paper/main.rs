@@ -12,9 +12,9 @@
 //! paper experiment [FLAGS]       any method x strategy (`paper experiment --help`)
 //! ```
 //!
-//! Every subcommand accepts `--quiet` (`fig3` and `fig4` honor it); only
-//! `survey` takes `--seed`, and none writes `--json`. A flag a
-//! subcommand does not take is an error, not a no-op.
+//! Only `fig3` and `fig4` take `--quiet`, only `survey` takes `--seed`,
+//! and none writes `--json`. A flag a subcommand does not take is an
+//! error, not a no-op.
 
 mod ablation;
 mod experiment;
@@ -74,6 +74,9 @@ fn parse(args: &[String]) -> Result<(Exhibit, BenchOpts), String> {
     }
     if opts.seed.is_some() && name != "survey" {
         return Err(format!("paper {name}: only survey takes --seed"));
+    }
+    if opts.quiet && !matches!(name.as_str(), "fig3" | "fig4") {
+        return Err(format!("paper {name}: only fig3 and fig4 take --quiet"));
     }
     let exhibit = match (name.as_str(), opts.rest()) {
         ("table2", []) => Exhibit::Table2,
@@ -178,7 +181,10 @@ mod tests {
     fn every_exhibit_parses_with_the_flags_it_uses() {
         for name in EXHIBITS {
             assert!(parse_strs(&[name]).is_ok(), "{name}");
+        }
+        for name in ["fig3", "fig4"] {
             assert!(parse_strs(&[name, "--quiet"]).is_ok(), "{name} --quiet");
+            assert!(parse_strs(&[name, "-q"]).is_ok(), "{name} -q");
         }
         assert!(matches!(parse_strs(&["table2"]), Ok((Exhibit::Table2, _))));
         assert!(matches!(
@@ -231,6 +237,10 @@ mod tests {
             cases.push(vec![name, "--json", "t.json"]);
             if name != "survey" {
                 cases.push(vec![name, "--seed", "7"]);
+            }
+            if !matches!(name, "fig3" | "fig4") {
+                cases.push(vec![name, "--quiet"]);
+                cases.push(vec![name, "-q"]);
             }
         }
         for case in cases {

@@ -233,7 +233,7 @@ fn time_sweep<F: FnMut() -> ErrorBound>(
 }
 
 fn main() -> ExitCode {
-    let opts = BenchOpts::parse();
+    let opts = BenchOpts::parse_for("perf", &["--smoke", "--full"], &[]);
     let full = opts.has_flag("--full");
     let smoke = opts.has_flag("--smoke") && !full;
     let threads = Executor::new().threads();

@@ -370,7 +370,7 @@ fn burst_recovery_section<M, Q, G>(
 }
 
 fn main() -> ExitCode {
-    let opts = BenchOpts::parse();
+    let opts = BenchOpts::parse_for("resilience", &[], &[]);
     let seed = opts.seed_or(SEED);
     opts.say("ApproxIt resilience campaign");
     opts.say("============================\n");

@@ -375,7 +375,7 @@ fn range_stage(c: &mut Checker) {
 }
 
 fn main() -> ExitCode {
-    let opts = BenchOpts::parse();
+    let opts = BenchOpts::parse_for("verify", &[], &[]);
     opts.say("verify: BDD equivalence proofs, netlist lint, static range analysis");
     let mut c = Checker::new(opts.quiet);
     lint_stage(&mut c);

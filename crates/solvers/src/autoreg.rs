@@ -6,7 +6,7 @@
 //! datapath — run on the approximate adders; the convergence check and
 //! the reported least-square error are exact.
 
-use approx_arith::ArithContext;
+use approx_arith::{ArithContext, Operand};
 use approx_linalg::vector;
 
 use crate::datasets::SeriesDataset;
@@ -38,14 +38,15 @@ use crate::method::IterativeMethod;
 /// ```
 #[derive(Debug, Clone)]
 pub struct AutoRegression {
-    x: Vec<Vec<f64>>,
-    /// Row-major copy of `x`, cached so the prediction pass can run as
-    /// one fused [`ArithContext::matvec_slice`] call per step.
-    x_flat: Vec<f64>,
-    /// Row-major copy of `xᵀ` (`p × N`), cached so the gradient
-    /// accumulation `Σₙ rₙ·xₙ = Xᵀr` can also run as one fused
-    /// [`ArithContext::matvec_slice`] call per step.
-    xt_flat: Vec<f64>,
+    /// Regression order `p`.
+    order: usize,
+    /// The design matrix `X` (`N × p`, row-major), a constant operand
+    /// of the prediction pass's fused [`ArithContext::matvec_operand`].
+    x: Operand,
+    /// `Xᵀ` (`p × N`, row-major), so the gradient accumulation
+    /// `Σₙ rₙ·xₙ = Xᵀr` is one fused [`ArithContext::matvec_operand`]
+    /// call per step as well.
+    xt: Operand,
     y: Vec<f64>,
     step_size: f64,
     tolerance: f64,
@@ -75,17 +76,16 @@ impl AutoRegression {
         assert!(step_size > 0.0, "step size must be positive");
         assert!(tolerance > 0.0, "tolerance must be positive");
         assert!(max_iterations > 0, "iteration budget must be positive");
-        let x_flat: Vec<f64> = x.iter().flatten().copied().collect();
-        let mut xt_flat = vec![0.0; x_flat.len()];
+        let mut xt = vec![0.0; x.len() * p];
         for (n, row) in x.iter().enumerate() {
             for (i, &v) in row.iter().enumerate() {
-                xt_flat[i * x.len() + n] = v;
+                xt[i * x.len() + n] = v;
             }
         }
         Self {
-            x,
-            x_flat,
-            xt_flat,
+            order: p,
+            x: Operand::new(x.concat()),
+            xt: Operand::new(xt),
             y,
             step_size,
             tolerance,
@@ -112,19 +112,25 @@ impl AutoRegression {
     /// Regression order `p`.
     #[must_use]
     pub fn order(&self) -> usize {
-        self.x[0].len()
+        self.order
     }
 
     /// Number of samples `N`.
     #[must_use]
     pub fn num_samples(&self) -> usize {
-        self.x.len()
+        self.y.len()
     }
 
-    /// The design matrix rows (range analysis reads their entry bounds).
+    /// The design matrix `X` (`N × p`, row-major; range analysis reads
+    /// its entry bounds).
     #[must_use]
-    pub fn design_matrix(&self) -> &[Vec<f64>] {
-        &self.x
+    pub fn design_matrix(&self) -> &[f64] {
+        self.x.values()
+    }
+
+    /// The rows `xₙ` of the design matrix, in sample order.
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.x.values().chunks_exact(self.order)
     }
 
     /// The regression targets.
@@ -149,7 +155,7 @@ impl AutoRegression {
         let p = self.order();
         let mut xtx = approx_linalg::Matrix::zeros(p, p);
         let mut xty = vec![0.0; p];
-        for (row, &target) in self.x.iter().zip(&self.y) {
+        for (row, &target) in self.rows().zip(&self.y) {
             for i in 0..p {
                 xty[i] += row[i] * target;
                 for j in 0..p {
@@ -177,21 +183,21 @@ impl IterativeMethod for AutoRegression {
     fn step(&self, state: &Vec<f64>, ctx: &mut dyn ArithContext) -> Vec<f64> {
         let p = self.order();
         let n = self.num_samples();
-        // All N predictions come from one fused matvec over the cached
+        // All N predictions come from one fused matvec over the
         // row-major design matrix (each row reduced exactly like `dot`).
         let mut preds = vec![0.0; n];
-        ctx.matvec_slice(&self.x_flat, p, state, &mut preds);
+        ctx.matvec_operand(&self.x, p, state, &mut preds);
         // Residuals yₙ − ŷₙ in one element-wise kernel.
         let mut residuals = vec![0.0; n];
         ctx.sub_slice(&self.y, &preds, &mut residuals);
         // Gradient accumulation Σₙ rₙ·xₙ = Xᵀr as one fused matvec over
-        // the cached transpose. Each acc[i] sees the same left-to-right
+        // the transpose. Each acc[i] sees the same left-to-right
         // add chain as the historical per-sample axpy loop (loop
         // interchange over independent accumulator chains; `mul` is
         // commutative on every datapath), so values, op counts and
         // energy are bit-identical to that formulation.
         let mut acc = vec![0.0; p];
-        ctx.matvec_slice(&self.xt_flat, n, &residuals, &mut acc);
+        ctx.matvec_operand(&self.xt, n, &residuals, &mut acc);
         let scale = self.step_size / n as f64;
         vector::axpy(ctx, scale, &acc, state)
     }
@@ -199,7 +205,7 @@ impl IterativeMethod for AutoRegression {
     /// Exact mean squared error `(1/2N)‖y − Xw‖²`.
     fn objective(&self, state: &Vec<f64>) -> f64 {
         let mut sse = 0.0;
-        for (row, &target) in self.x.iter().zip(&self.y) {
+        for (row, &target) in self.rows().zip(&self.y) {
             let r = target - vector::dot_exact(row, state);
             sse += r * r;
         }
@@ -210,7 +216,7 @@ impl IterativeMethod for AutoRegression {
     fn gradient(&self, state: &Vec<f64>) -> Option<Vec<f64>> {
         let p = self.order();
         let mut g = vec![0.0; p];
-        for (row, &target) in self.x.iter().zip(&self.y) {
+        for (row, &target) in self.rows().zip(&self.y) {
             let r = target - vector::dot_exact(row, state);
             for (gi, &xi) in g.iter_mut().zip(row) {
                 *gi -= r * xi;

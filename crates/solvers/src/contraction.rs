@@ -141,9 +141,8 @@ pub fn cg_contraction<A: LinearOperator>(cg: &ConjugateGradient<A>) -> Contracti
 pub fn ar_contraction(ar: &AutoRegression) -> ContractionReport {
     let p = ar.order();
     let n = ar.num_samples();
-    let rows = ar.design_matrix();
     let mut gram = Matrix::zeros(p, p);
-    for row in rows {
+    for row in ar.design_matrix().chunks_exact(p) {
         for j in 0..p {
             for k in 0..p {
                 gram[(j, k)] += row[j] * row[k];

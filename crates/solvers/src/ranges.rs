@@ -188,7 +188,7 @@ impl Default for ArRangeSpec {
 pub fn ar_range_model(ar: &AutoRegression, spec: &ArRangeSpec) -> RangeModel {
     let p = ar.order();
     let n = ar.num_samples();
-    let x_max = max_abs(ar.design_matrix().iter().flatten().copied());
+    let x_max = max_abs(ar.design_matrix().iter().copied());
     let y_max = max_abs(ar.targets().iter().copied());
     let w_bound = spec.weight_bound;
 
