@@ -29,14 +29,16 @@ pub struct QFormat {
 }
 
 impl QFormat {
-    /// The framework default: 48-bit datapath with a 16-bit fraction
-    /// (range ±2³¹, resolution 2⁻¹⁶ ≈ 1.5·10⁻⁵).
+    /// A 48-bit datapath with a 16-bit fraction (range ±2³¹,
+    /// resolution 2⁻¹⁶ ≈ 1.5·10⁻⁵).
     pub const Q31_16: QFormat = QFormat {
         width: 48,
         frac_bits: 16,
     };
 
-    /// A narrow 32-bit format (Q15.16) for width-sweep ablations.
+    /// The framework default: a 32-bit datapath with a 16-bit fraction
+    /// (range ±2¹⁵, resolution 2⁻¹⁶), the format of
+    /// [`QcsContext::with_paper_defaults`](crate::QcsContext::with_paper_defaults).
     pub const Q15_16: QFormat = QFormat {
         width: 32,
         frac_bits: 16,
