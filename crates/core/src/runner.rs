@@ -103,7 +103,9 @@ impl<'a, M: IterativeMethod, C: ArithContext> RunConfig<'a, M, C> {
     ///
     /// 1. run one step at the current level, metering its energy;
     /// 2. compute the exact monitoring quantities (objective, parameters,
-    ///    gradient — all available "for free" alongside the method);
+    ///    gradient) in plain `f64`. They are not free: AR's monitors
+    ///    re-form every residual, CG's read the `A·x` its state carries
+    ///    (DESIGN.md §15, "The exact plane");
     /// 3. check the method's own convergence criterion. A converged iterate
     ///    is accepted if the final step did not increase the objective *and*
     ///    the strategy’s [`ReconfigStrategy::convergence_veto`] allows it — the veto is how a

@@ -158,6 +158,14 @@ impl Matrix {
     /// Each entry is the left-to-right sum over `k` of `a_ik · b_kj`
     /// from `+0.0`, skipping every `a_ik == 0.0`.
     ///
+    /// Two output rows take four `k` per pass: each entry is read once,
+    /// takes `(((c + a_k·b_k) + a_{k+1}·b_{k+1}) + …) + a_{k+3}·b_{k+3}`
+    /// and is written once, so the two rows' sums share every load of
+    /// `b`. A block whose eight `a_ik` hold a zero, the `k mod 4` tail
+    /// and an odd last row add term by term instead; either way every
+    /// entry sees the same terms in the same order (DESIGN.md §15, "The
+    /// exact plane").
+    ///
     /// # Panics
     /// Panics if the inner dimensions differ.
     #[must_use]
@@ -166,14 +174,36 @@ impl Matrix {
         let (n, m) = (self.cols, rhs.cols);
         let b = rhs.as_slice();
         let mut out = vec![0.0; self.rows * m];
-        for (o, a_row) in out.chunks_mut(m).zip(self.as_slice().chunks(n)) {
-            for (&a, bk) in a_row.iter().zip(b.chunks(m)) {
-                if a != 0.0 {
-                    for (c, &bkj) in o.iter_mut().zip(bk) {
-                        *c += a * bkj;
-                    }
+        let mut out_pairs = out.chunks_exact_mut(2 * m);
+        let mut a_pairs = self.as_slice().chunks_exact(2 * n);
+        for (o, a) in (&mut out_pairs).zip(&mut a_pairs) {
+            let ((o0, o1), (a0, a1)) = (o.split_at_mut(m), a.split_at(n));
+            let ((quads0, tail0), (quads1, tail1)) = (a0.as_chunks::<4>(), a1.as_chunks::<4>());
+            let mut b_quads = b.chunks_exact(4 * m);
+            for ((k0, k1), bq) in quads0.iter().zip(quads1).zip(&mut b_quads) {
+                if k0.iter().chain(k1).any(|&v| v == 0.0) {
+                    add_row_terms(o0, k0, bq);
+                    add_row_terms(o1, k1, bq);
+                    continue;
+                }
+                let ([x0, x1, x2, x3], [y0, y1, y2, y3]) = (*k0, *k1);
+                let (b0, rest) = bq.split_at(m);
+                let (b1, rest) = rest.split_at(m);
+                let (b2, b3) = rest.split_at(m);
+                let lanes = o0.iter_mut().zip(o1.iter_mut());
+                for ((((c0, c1), &v0), &v1), (&v2, &v3)) in
+                    lanes.zip(b0).zip(b1).zip(b2.iter().zip(b3))
+                {
+                    *c0 = (((*c0 + x0 * v0) + x1 * v1) + x2 * v2) + x3 * v3;
+                    *c1 = (((*c1 + y0 * v0) + y1 * v1) + y2 * v2) + y3 * v3;
                 }
             }
+            add_row_terms(o0, tail0, b_quads.remainder());
+            add_row_terms(o1, tail1, b_quads.remainder());
+        }
+        let last = out_pairs.into_remainder();
+        if !last.is_empty() {
+            add_row_terms(last, a_pairs.remainder(), b);
         }
         Matrix::from_vec(self.rows, m, out)
     }
@@ -192,6 +222,18 @@ impl Matrix {
             }
         }
         true
+    }
+}
+
+/// `o += a_k · b_k` for each `k` in ascending order, skipping every
+/// `a_k == 0.0`; `b` holds the rows `b_k` of `o.len()` entries each.
+fn add_row_terms(o: &mut [f64], a: &[f64], b: &[f64]) {
+    for (&ak, bk) in a.iter().zip(b.chunks_exact(o.len())) {
+        if ak != 0.0 {
+            for (c, &bkj) in o.iter_mut().zip(bk) {
+                *c += ak * bkj;
+            }
+        }
     }
 }
 
@@ -412,42 +454,46 @@ mod tests {
             .collect()
     }
 
+    /// Nonzero entries: one in eight a special past the list's three
+    /// zeros, the rest uniform draws, whose sums round, so a term added
+    /// out of order changes the bits.
+    fn draw_nonzero(rng: &mut approx_arith::rng::Pcg32, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|_| match rng.next_u32() % 8 {
+                0 => SPECIALS[3 + rng.next_u32() as usize % (SPECIALS.len() - 3)],
+                _ => rng.uniform(-3.0, 3.0),
+            })
+            .collect()
+    }
+
     #[test]
     fn matmul_and_transpose_match_the_entrywise_loops_bit_for_bit() {
         let mut rng = approx_arith::rng::Pcg32::seeded(11, 3);
+        // Inner dimensions below, at and past one block of four `k`
+        // with every `k mod 4` tail, and an odd column count.
+        let shapes = [(1, 1), (3, 2), (4, 3), (5, 7), (8, 4), (9, 17), (13, 5)];
         for rows in 1..=9 {
-            for (inner, cols) in [(1, 1), (3, 2), (5, 7), (8, 4)] {
-                let a = Matrix::from_vec(rows, inner, draw_specials(&mut rng, rows * inner));
-                let b = Matrix::from_vec(inner, cols, draw_specials(&mut rng, inner * cols));
-                // The triple loop `matmul_exact` had before it wrote
-                // through row slices.
-                let mut want = vec![0.0f64; rows * cols];
-                for i in 0..rows {
-                    for k in 0..inner {
-                        let aik = a[(i, k)];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        for j in 0..cols {
-                            want[i * cols + j] += aik * b[(k, j)];
-                        }
-                    }
+            for (inner, cols) in shapes {
+                let b = Matrix::from_vec(inner, cols, draw_nonzero(&mut rng, inner * cols));
+                // Mostly mixed blocks, blocks of nonzeros only, and
+                // nonzero blocks with one zero planted in one of the two
+                // rows of a pair.
+                let specials = draw_specials(&mut rng, rows * inner);
+                let nonzero = draw_nonzero(&mut rng, rows * inner);
+                let mut planted = nonzero.clone();
+                let at = rng.next_u32() as usize % planted.len();
+                planted[at] = if rng.next_u32() & 1 == 0 { 0.0 } else { -0.0 };
+                for (kind, a) in [
+                    ("specials", specials),
+                    ("nonzero", nonzero),
+                    ("planted", planted),
+                ] {
+                    let a = Matrix::from_vec(rows, inner, a);
+                    check_matmul(&a, &b, &format!("{kind} {rows}x{inner}·{inner}x{cols}"));
                 }
-                let got = a.matmul_exact(&b);
-                // Rust leaves the sign and payload of a NaN result
-                // unspecified (an optimized build may commute `c + a·b`),
-                // so a NaN matches any NaN; every other entry matches
-                // bit for bit.
-                let bits = |v: &[f64]| {
-                    v.iter()
-                        .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(
-                    bits(got.as_slice()),
-                    bits(&want),
-                    "{rows}x{inner}·{inner}x{cols}"
-                );
+                let b = Matrix::from_vec(inner, cols, draw_specials(&mut rng, inner * cols));
+                let a = Matrix::from_vec(rows, inner, draw_nonzero(&mut rng, rows * inner));
+                check_matmul(&a, &b, &format!("special b {rows}x{inner}·{inner}x{cols}"));
                 let t = a.transpose();
                 assert_eq!((t.rows(), t.cols()), (inner, rows));
                 for i in 0..rows {
@@ -457,6 +503,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `matmul_exact` against the triple loop it had before it wrote
+    /// through row slices.
+    fn check_matmul(a: &Matrix, b: &Matrix, what: &str) {
+        let (rows, inner, cols) = (a.rows(), a.cols(), b.cols());
+        let mut want = vec![0.0f64; rows * cols];
+        for i in 0..rows {
+            for k in 0..inner {
+                let aik = a[(i, k)];
+                if aik == 0.0 {
+                    continue;
+                }
+                for j in 0..cols {
+                    want[i * cols + j] += aik * b[(k, j)];
+                }
+            }
+        }
+        let got = a.matmul_exact(b);
+        // Rust leaves the sign and payload of a NaN result unspecified
+        // (an optimized build may commute `c + a·b`), so a NaN matches
+        // any NaN; every other entry matches bit for bit.
+        let bits = |v: &[f64]| {
+            v.iter()
+                .map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(got.as_slice()), bits(&want), "{what}");
     }
 
     fn qcs(format: approx_arith::QFormat) -> approx_arith::QcsContext {

@@ -114,27 +114,29 @@ pub fn covariance_exact(
     if let Some(w) = weights {
         assert_eq!(w.len(), points.len(), "one weight per point required");
     }
-    let mut cov = Matrix::zeros(dim, dim);
+    // Accumulates into the flat row-major entries; `Matrix`'s `IndexMut`
+    // would check the index and drop the operand cache on every add.
+    let mut cov = vec![0.0; dim * dim];
     let mut total = 0.0;
     for (idx, p) in points.iter().enumerate() {
         assert_eq!(p.len(), dim, "all points must have the same dimension");
         let w = weights.map_or(1.0, |ws| ws[idx]);
         total += w;
-        for i in 0..dim {
-            let di = p[i] - mean[i];
-            for j in 0..dim {
-                cov[(i, j)] += w * di * (p[j] - mean[j]);
+        for (row, (&pi, &mi)) in cov.chunks_exact_mut(dim).zip(p.iter().zip(mean)) {
+            let di = pi - mi;
+            for (c, (&pj, &mj)) in row.iter_mut().zip(p.iter().zip(mean)) {
+                *c += w * di * (pj - mj);
             }
         }
     }
     let denom = if total > 0.0 { total } else { 1.0 };
-    for i in 0..dim {
-        for j in 0..dim {
-            cov[(i, j)] /= denom;
+    for (i, row) in cov.chunks_exact_mut(dim).enumerate() {
+        for c in row.iter_mut() {
+            *c /= denom;
         }
-        cov[(i, i)] += ridge;
+        row[i] += ridge;
     }
-    cov
+    Matrix::from_vec(dim, dim, cov)
 }
 
 #[cfg(test)]
@@ -223,6 +225,77 @@ mod tests {
         let pts = vec![vec![0.0], vec![100.0]];
         let cov = covariance_exact(&pts, &[0.0], Some(&[1.0, 0.0]), 0.0);
         assert!(cov[(0, 0)].abs() < 1e-14);
+    }
+
+    #[test]
+    fn covariance_matches_the_indexed_loop_bit_for_bit() {
+        let pool = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            1.5,
+            -2.25,
+            3e-3,
+            -7e5,
+        ];
+        let mut rng = approx_arith::rng::Pcg32::seeded(41, 9);
+        let draw = |rng: &mut approx_arith::rng::Pcg32| match rng.next_u32() % 3 {
+            0 => pool[rng.next_u32() as usize % pool.len()],
+            _ => rng.uniform(-4.0, 4.0),
+        };
+        for dim in 1..=5 {
+            for count in [1, 2, 7, 40] {
+                let points: Vec<Vec<f64>> = (0..count)
+                    .map(|_| (0..dim).map(|_| draw(&mut rng)).collect())
+                    .collect();
+                let mean: Vec<f64> = (0..dim).map(|_| draw(&mut rng)).collect();
+                // Zero, subnormal, unit and non-unit weights.
+                let weights: Vec<f64> = (0..count)
+                    .map(|_| match rng.next_u32() % 4 {
+                        0 => 0.0,
+                        1 => f64::from_bits(3),
+                        2 => 1.0,
+                        _ => rng.uniform(0.0, 2.0),
+                    })
+                    .collect();
+                for w in [None, Some(&weights[..])] {
+                    for ridge in [0.0, 1e-6] {
+                        // The loop `covariance_exact` had before it
+                        // wrote through row slices.
+                        let mut want = Matrix::zeros(dim, dim);
+                        let mut total = 0.0;
+                        for (idx, p) in points.iter().enumerate() {
+                            let wt = w.map_or(1.0, |ws| ws[idx]);
+                            total += wt;
+                            for i in 0..dim {
+                                let di = p[i] - mean[i];
+                                for j in 0..dim {
+                                    want[(i, j)] += wt * di * (p[j] - mean[j]);
+                                }
+                            }
+                        }
+                        let denom = if total > 0.0 { total } else { 1.0 };
+                        for i in 0..dim {
+                            for j in 0..dim {
+                                want[(i, j)] /= denom;
+                            }
+                            want[(i, i)] += ridge;
+                        }
+                        let got = covariance_exact(&points, &mean, w, ridge);
+                        let bits = |m: &Matrix| {
+                            m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                        };
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "d = {dim}, {count} points, weighted {}, ridge {ridge}",
+                            w.is_some()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub struct AutoRegression {
     x: Operand,
     /// `Xᵀ` (`p × N`, row-major), so the gradient accumulation
     /// `Σₙ rₙ·xₙ = Xᵀr` is one fused [`ArithContext::matvec_operand`]
-    /// call per step as well.
+    /// call per step as well. The exact monitors read its rows as the
+    /// columns of `X`.
     xt: Operand,
     y: Vec<f64>,
     step_size: f64,
@@ -153,18 +154,85 @@ impl AutoRegression {
     #[must_use]
     pub fn normal_equation_solution(&self) -> Vec<f64> {
         let p = self.order();
-        let mut xtx = approx_linalg::Matrix::zeros(p, p);
+        let mut xtx = vec![0.0; p * p];
         let mut xty = vec![0.0; p];
         for (row, &target) in self.rows().zip(&self.y) {
-            for i in 0..p {
-                xty[i] += row[i] * target;
-                for j in 0..p {
-                    xtx[(i, j)] += row[i] * row[j];
+            for ((xtx_row, b), &xi) in xtx.chunks_exact_mut(p).zip(&mut xty).zip(row) {
+                *b += xi * target;
+                for (c, &xj) in xtx_row.iter_mut().zip(row) {
+                    *c += xi * xj;
                 }
             }
         }
+        let xtx = approx_linalg::Matrix::from_vec(p, p, xtx);
         approx_linalg::decomp::solve(&xtx, &xty).expect("normal equations are SPD")
     }
+
+    /// Regressor `i` of samples `start..start + len`: a run of row `i`
+    /// of `Xᵀ`.
+    fn column(&self, i: usize, start: usize, len: usize) -> &[f64] {
+        &self.xt.values()[i * self.num_samples() + start..][..len]
+    }
+
+    /// Calls `f(start, r)` for consecutive blocks of at most
+    /// [`MONITOR_BLOCK`] samples, where `r[k] = y_{start+k} − x_{start+k}·w`
+    /// and the dot is formed as `vector::dot_exact` forms it: from
+    /// `−0.0`, adding `xₙᵢ·wᵢ` in ascending `i`. The block's dots advance
+    /// side by side over four columns of `Xᵀ` per pass, instead of one
+    /// serial chain per sample.
+    fn for_each_residual_block(&self, w: &[f64], mut f: impl FnMut(usize, &[f64])) {
+        assert_eq!(w.len(), self.order, "vector lengths must match");
+        let (quads, tail) = w.as_chunks::<4>();
+        let mut buf = [0.0; MONITOR_BLOCK];
+        for (start, y) in (0..)
+            .step_by(MONITOR_BLOCK)
+            .zip(self.y.chunks(MONITOR_BLOCK))
+        {
+            let len = y.len();
+            let column = |i| self.column(i, start, len);
+            let r = &mut buf[..len];
+            r.fill(-0.0);
+            for (i, &[w0, w1, w2, w3]) in (0..).step_by(4).zip(quads) {
+                let [c0, c1, c2, c3] = std::array::from_fn(|k| column(i + k));
+                for (((acc, &x0), &x1), (&x2, &x3)) in
+                    r.iter_mut().zip(c0).zip(c1).zip(c2.iter().zip(c3))
+                {
+                    *acc = (((*acc + x0 * w0) + x1 * w1) + x2 * w2) + x3 * w3;
+                }
+            }
+            for (i, &wi) in (4 * quads.len()..).zip(tail) {
+                for (acc, &x) in r.iter_mut().zip(column(i)) {
+                    *acc += x * wi;
+                }
+            }
+            for (acc, &yn) in r.iter_mut().zip(y) {
+                *acc = yn - *acc;
+            }
+            f(start, r);
+        }
+    }
+}
+
+/// Samples per residual block of the exact monitors: 512 `f64` fill a
+/// 4 KiB stack buffer, which stays in L1 while the columns stream past.
+const MONITOR_BLOCK: usize = 512;
+
+/// `gᵢ −= r_k·column(i)[k]` for `i < G`, in ascending `k`, with the `G`
+/// sums held in locals so their chains overlap; returns `G`.
+fn subtract_products<'a, const G: usize>(
+    g: &mut [f64],
+    r: &[f64],
+    column: impl Fn(usize) -> &'a [f64],
+) -> usize {
+    let columns: [&[f64]; G] = std::array::from_fn(column);
+    let mut acc: [f64; G] = std::array::from_fn(|i| g[i]);
+    for (k, &rk) in r.iter().enumerate() {
+        for (a, c) in acc.iter_mut().zip(&columns) {
+            *a -= rk * c[k];
+        }
+    }
+    g[..G].copy_from_slice(&acc);
+    G
 }
 
 impl IterativeMethod for AutoRegression {
@@ -202,26 +270,33 @@ impl IterativeMethod for AutoRegression {
         vector::axpy(ctx, scale, &acc, state)
     }
 
-    /// Exact mean squared error `(1/2N)‖y − Xw‖²`.
+    /// Exact mean squared error `(1/2N)‖y − Xw‖²`: `r²` summed from
+    /// `+0.0` in sample order.
     fn objective(&self, state: &Vec<f64>) -> f64 {
         let mut sse = 0.0;
-        for (row, &target) in self.rows().zip(&self.y) {
-            let r = target - vector::dot_exact(row, state);
-            sse += r * r;
-        }
+        self.for_each_residual_block(state, |_, r| {
+            sse = r.iter().fold(sse, |s, &rn| s + rn * rn);
+        });
         sse / (2.0 * self.num_samples() as f64)
     }
 
-    /// Exact gradient `−(1/N) Xᵀ(y − Xw)`.
+    /// Exact gradient `−(1/N) Xᵀ(y − Xw)`: each `gᵢ` starts at `+0.0`
+    /// and subtracts `rₙ·xₙᵢ` in sample order.
     fn gradient(&self, state: &Vec<f64>) -> Option<Vec<f64>> {
-        let p = self.order();
-        let mut g = vec![0.0; p];
-        for (row, &target) in self.rows().zip(&self.y) {
-            let r = target - vector::dot_exact(row, state);
-            for (gi, &xi) in g.iter_mut().zip(row) {
-                *gi -= r * xi;
+        let mut g = vec![0.0; self.order()];
+        self.for_each_residual_block(state, |start, r| {
+            let column = |i| self.column(i, start, r.len());
+            let mut i = 0;
+            while i < g.len() {
+                let g = &mut g[i..];
+                i += match g.len() {
+                    8.. => subtract_products::<8>(g, r, |k| column(i + k)),
+                    4..=7 => subtract_products::<4>(g, r, |k| column(i + k)),
+                    2 | 3 => subtract_products::<2>(g, r, |k| column(i + k)),
+                    _ => subtract_products::<1>(g, r, |k| column(i + k)),
+                };
             }
-        }
+        });
         for gi in &mut g {
             *gi /= self.num_samples() as f64;
         }
@@ -336,6 +411,135 @@ mod tests {
         // (axpy) with p = 1, plus the final p-element update.
         assert_eq!(ctx.counts().adds, n * 3 + 1);
         assert_eq!(ctx.counts().muls, n * 2 + 1);
+    }
+
+    /// Signed zeros (+0.0 twice), subnormals, infinities, NaN and
+    /// ordinary values, as in the matrix tests.
+    const SPECIALS: [f64; 12] = [
+        0.0,
+        -0.0,
+        0.0,
+        f64::from_bits(1),
+        -f64::MIN_POSITIVE / 2.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1.5,
+        -2.25,
+        3e-3,
+        -7e5,
+    ];
+
+    /// The row-wise loops `objective` and `gradient` had before they
+    /// went column by column over `Xᵀ`.
+    fn row_wise_monitors(x: &[Vec<f64>], y: &[f64], w: &[f64]) -> (f64, Vec<f64>) {
+        let mut sse = 0.0;
+        for (row, &target) in x.iter().zip(y) {
+            let r = target - vector::dot_exact(row, w);
+            sse += r * r;
+        }
+        let mut g = vec![0.0; w.len()];
+        for (row, &target) in x.iter().zip(y) {
+            let r = target - vector::dot_exact(row, w);
+            for (gi, &xi) in g.iter_mut().zip(row) {
+                *gi -= r * xi;
+            }
+        }
+        for gi in &mut g {
+            *gi /= y.len() as f64;
+        }
+        (sse / (2.0 * y.len() as f64), g)
+    }
+
+    #[test]
+    fn exact_monitors_match_the_row_wise_loops_bit_for_bit() {
+        // Rust leaves the sign and payload of a NaN result unspecified,
+        // so a NaN matches any NaN; everything else matches bit for bit.
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut rng = approx_arith::rng::Pcg32::seeded(43, 5);
+        let b = MONITOR_BLOCK;
+        for n in [1, b - 1, b, b + 1, 3 * b + 7] {
+            for p in [1, 3, 8, 10, 11] {
+                // All specials (most sums end non-finite), then the finite
+                // specials among uniform draws, whose sums round, so a
+                // changed order or start value shows.
+                for finite in [false, true] {
+                    let mut draw = || {
+                        let pick = SPECIALS[rng.next_u32() as usize % SPECIALS.len()];
+                        match (finite, rng.next_u32() % 3) {
+                            (false, _) => pick,
+                            (true, 0) if pick.is_finite() => pick,
+                            _ => rng.uniform(-3.0, 3.0),
+                        }
+                    };
+                    let w: Vec<f64> = (0..p).map(|_| draw()).collect();
+                    let mut x: Vec<Vec<f64>> =
+                        (0..n).map(|_| (0..p).map(|_| draw()).collect()).collect();
+                    let mut y: Vec<f64> = (0..n).map(|_| draw()).collect();
+                    // Samples with y = −0.0 and every xₙᵢ·wᵢ = −0.0: the
+                    // dot is −0.0 from a −0.0 start and r is +0.0; a +0.0
+                    // start would give r = −0.0.
+                    for at in [0, n / 2, n - 1] {
+                        y[at] = -0.0;
+                        x[at] = w
+                            .iter()
+                            .map(|&wi| if wi.is_sign_negative() { 0.0 } else { -0.0 })
+                            .collect();
+                    }
+                    let ar = AutoRegression::new(x.clone(), y.clone(), 0.1, 1e-9, 1);
+                    let what = format!("N = {n}, p = {p}, finite {finite}");
+                    let mut next = 0;
+                    ar.for_each_residual_block(&w, |start, r| {
+                        assert_eq!(start, next, "{what}: blocks in sample order");
+                        assert!(!r.is_empty() && r.len() <= b, "{what}");
+                        for (k, &rk) in r.iter().enumerate() {
+                            let want = y[start + k] - vector::dot_exact(&x[start + k], &w);
+                            assert!(
+                                same(rk, want),
+                                "{what}: r[{}] {rk:e} vs {want:e}",
+                                start + k
+                            );
+                        }
+                        next += r.len();
+                    });
+                    assert_eq!(next, n, "{what}: every sample once");
+                    let (objective, gradient) = row_wise_monitors(&x, &y, &w);
+                    let got = ar.objective(&w);
+                    assert!(
+                        same(got, objective),
+                        "{what}: objective {got:e} vs {objective:e}"
+                    );
+                    let got = ar.gradient(&w).unwrap();
+                    assert_eq!(got.len(), p);
+                    for (i, (&gi, &want)) in got.iter().zip(&gradient).enumerate() {
+                        assert!(same(gi, want), "{what}: g[{i}] {gi:e} vs {want:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn normal_equations_match_the_indexed_loop_bit_for_bit() {
+        let series = ar_series("t", 300, &[0.5, 0.2, -0.1], 1.0, 41);
+        let ar = AutoRegression::from_series(&series, 0.3, 1e-10, 10);
+        // The loop `normal_equation_solution` had before it wrote
+        // through row slices.
+        let p = ar.order();
+        let mut xtx = approx_linalg::Matrix::zeros(p, p);
+        let mut xty = vec![0.0; p];
+        for (row, &target) in ar.rows().zip(ar.targets()) {
+            for i in 0..p {
+                xty[i] += row[i] * target;
+                for j in 0..p {
+                    xtx[(i, j)] += row[i] * row[j];
+                }
+            }
+        }
+        let want = approx_linalg::decomp::solve(&xtx, &xty).unwrap();
+        let got = ar.normal_equation_solution();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
