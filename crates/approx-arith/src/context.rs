@@ -43,8 +43,10 @@
 //! its entries once, caches the `i32` words, and feeds cached rows to
 //! the same row fold that `matvec_slice` feeds freshly converted ones.
 //! When the largest cached word and the largest `x` word prove that no
-//! product can saturate, a truncating level folds each product with
-//! one shift instead of a clamp and two shifts.
+//! product can saturate and that every product is below 2⁵¹, a
+//! truncating level takes each product's rounding and truncation as
+//! one floor, computed in exact `f64` lanes that vectorize on baseline
+//! SSE2, instead of a clamp and two shifts in scalar `i64`.
 //!
 //! Energy metering is *count-based*: contexts tally integer per-level
 //! operation counters and compute energy lazily as
@@ -56,7 +58,7 @@
 
 use crate::adder::{width_mask, AccuracyLevel};
 use crate::energy::EnergyProfile;
-use crate::fixed::{QFormat, RawConverter};
+use crate::fixed::{QFormat, RawConverter, ROUND_MAGIC};
 use crate::operand::Operand;
 use crate::range::RangeConfig;
 use crate::recon::{LowPartPolicy, QcsAdder};
@@ -549,9 +551,9 @@ impl MulMode {
     }
 }
 
-/// Whether a fold of products `a·x` with `|a| ≤ max_a` and
-/// `|x| ≤ max_x` may take [`Fold::absorb_unsaturated`]'s one-shift
-/// term: the width is ≤ 32, the policy is truncation and
+/// Whether no product `a·x` with `|a| ≤ max_a` and `|x| ≤ max_x`
+/// saturates, so that each truncated term is one shift of the product
+/// (see [`LaneFold`]): the width is ≤ 32, the policy is truncation and
 /// `max_a·max_x + half + 1 ≤ 2^(w−1+f)` (written `… + half < 2^(w−1+f)`).
 ///
 /// Under that bound a product `p ≥ 0` rounds to
@@ -563,6 +565,101 @@ fn folds_in_one_shift(mode: AddMode, mul: MulMode, max_a: u64, max_x: u64) -> bo
     mul.narrow
         && !mode.or_low
         && max_a * max_x + (mul.half as u64) < 1u64 << (mode.w - 1 + mul.frac_bits)
+}
+
+/// The row fold of a truncating call whose products cannot saturate,
+/// in exact `f64` lanes.
+///
+/// With no clamp, `round(p)` is the sign-magnitude rounding
+/// `⌊(p + half)/2^f⌋` for `p ≥ 0` and `−⌊(−p + half)/2^f⌋` for `p < 0`.
+/// The latter is `⌊(p + half − 1)/2^f⌋` because `2^f − half = half`
+/// (for `f = 0` both are `p`). Nested floors compose,
+/// `⌊⌊q/2^f⌋/2^k⌋ = ⌊q/2^s⌋` with `s = f + k`, so each product's high
+/// part is one floor: `t = ⌊(p + half − [p < 0 ∧ f > 0])/2^s⌋`.
+/// Truncation reads no low bits, so [`Fold::bits`] needs only `Σ t`.
+///
+/// The lanes compute `t` without an integer multiply or shift, which
+/// lets the row loop vectorize on baseline SSE2. An `x` word becomes
+/// the weight `x·2^−s`, and `q = a·(x·2^−s)` is `p·2^−s`. Then
+/// `z = (q + K) − [q < 0]·step`, with `K = (half + ½)·2^−s − ½` and
+/// `step = 2^−s` when `f > 0`, else 0, is `t + (r + ½)/2^s − ½` for the
+/// remainder `0 ≤ r < 2^s`: strictly within ½ of `t`, so adding
+/// [`ROUND_MAGIC`] rounds it to `t`, never at a tie. The sum of the
+/// biased bit patterns, wrapping in `i64`, minus `cols` times the
+/// constant's, is `Σ t` modulo 2⁶⁴, which is all [`Fold::bits`] reads.
+///
+/// Every step is exact when `max_a·max_x < 2⁵¹` and `s ≤ 51`: `q` and
+/// `z` are integers below 2⁵³ times `2^−(s+1)`, and `|z| < 2⁵¹`. A
+/// `±0` product gives `z = K`, which rounds to 0. [`LaneFold::admit`]
+/// checks both bounds on top of [`folds_in_one_shift`]; on `Q15_16`
+/// that bound implies them.
+#[derive(Debug, Clone, Copy)]
+struct LaneFold {
+    /// `2^−s`, the weight of one `x` word's unit.
+    scale: f64,
+    /// `K = (half + ½)·2^−s − ½`.
+    offset: f64,
+    /// `2^−s` when `f > 0`, else 0: the negative products' step.
+    step: f64,
+}
+
+impl LaneFold {
+    /// The lanes of a call whose words satisfy `|a| ≤ max_a` and
+    /// `|x| ≤ max_x`, or `None` when the call must take the clamped
+    /// fold.
+    fn admit(mode: AddMode, mul: MulMode, max_a: u64, max_x: u64) -> Option<Self> {
+        let s = mul.frac_bits + mode.k;
+        let admitted =
+            folds_in_one_shift(mode, mul, max_a, max_x) && max_a * max_x < 1 << 51 && s <= 51;
+        admitted.then(|| {
+            let scale = 1.0 / (1u64 << s) as f64;
+            Self {
+                scale,
+                offset: (mul.half as f64 + 0.5) * scale - 0.5,
+                step: if mul.frac_bits > 0 { scale } else { 0.0 },
+            }
+        })
+    }
+
+    /// The lane weights `x·2^−s` of the raw words `rx`, written into
+    /// `rx`'s own allocation.
+    fn weights(self, rx: Vec<i64>) -> Vec<f64> {
+        rx.into_iter().map(|r| r as f64 * self.scale).collect()
+    }
+
+    /// The bit pattern of `z + ROUND_MAGIC` for the word `a` and the
+    /// weight `xs`.
+    #[inline(always)]
+    fn biased(self, a: i32, xs: f64) -> i64 {
+        let q = f64::from(a) * xs;
+        let z = (q + self.offset) - if q < 0.0 { self.step } else { 0.0 };
+        (z + ROUND_MAGIC).to_bits() as i64
+    }
+
+    /// `out[r] = Σⱼ words[r·cols + j] · x[j]` for every row of `words`,
+    /// with `xs` the [`LaneFold::weights`] of `x`.
+    fn fold_rows(
+        self,
+        cv: RawConverter,
+        mode: AddMode,
+        words: &[i32],
+        cols: usize,
+        xs: &[f64],
+        out: &mut [f64],
+    ) {
+        let bias = (cols as i64).wrapping_mul(ROUND_MAGIC.to_bits() as i64);
+        for (o, row) in out.iter_mut().zip(words.chunks_exact(cols)) {
+            let biased = row
+                .iter()
+                .zip(xs)
+                .fold(0i64, |sum, (&a, &x)| sum.wrapping_add(self.biased(a, x)));
+            let fold = Fold {
+                high: [biased.wrapping_sub(bias), 0, 0, 0],
+                low: [0; LANES],
+            };
+            *o = cv.from_raw(mode.sext(fold.bits(mode)));
+        }
+    }
 }
 
 /// Stack-block length for the fused kernels' batched conversions: long
@@ -754,32 +851,6 @@ impl Fold {
         }
     }
 
-    /// Absorb the products `a[i] · b[i]` of a call that
-    /// [`folds_in_one_shift`] admits. Each term is the product's high
-    /// part `⌊round(p)/2^k⌋` in one shift:
-    /// `(p + half + ((p >> 63) & m)) >> (f + k)`, with `m = −1` when
-    /// `f > 0` and 0 otherwise.
-    ///
-    /// No clamp fires, so `round(p)` is the sign-magnitude rounding
-    /// `⌊(p + half)/2^f⌋` for `p ≥ 0` and `−⌊(−p + half)/2^f⌋` for
-    /// `p < 0`. The latter is `⌊(p + half − 1)/2^f⌋` because
-    /// `2^f − half = half` (for `f = 0` both are `p`). Nested floors
-    /// compose, `⌊⌊q/2^f⌋/2^k⌋ = ⌊q/2^(f+k)⌋`, so the rounding shift
-    /// and the fold's high-part shift are one shift. Truncation reads no
-    /// low bits, so [`Fold::bits`] needs nothing else.
-    #[inline(always)]
-    fn absorb_unsaturated<W>(&mut self, mode: AddMode, mul: MulMode, a: &[W], b: &[i64])
-    where
-        W: Copy + Into<i64>,
-    {
-        let (half, shift) = (mul.half, mul.frac_bits + mode.k);
-        let m = -i64::from(mul.frac_bits > 0);
-        self.absorb_as::<false, false, W>(0, a, b, |x, y| {
-            let p = x.into() * y;
-            (p + half + ((p >> 63) & m)) >> shift
-        });
-    }
-
     /// Absorb the raw terms `a[i]`.
     #[inline(always)]
     fn absorb_raws(&mut self, mode: AddMode, a: &[i64]) {
@@ -885,11 +956,10 @@ fn sum_span_bits(cv: RawConverter, mode: AddMode, xs: &[f64]) -> u64 {
 /// The dense row fold, on an exactly-round-tripping width:
 /// `out[r] = Σⱼ words[r·cols + j] · rx[j]` for every row of `words`.
 /// `matvec_slice` hands it blocks of freshly converted short rows,
-/// `matvec_operand` an operand's cached ones. `ONE_SHIFT` takes
-/// [`Fold::absorb_unsaturated`]'s term, for calls that
-/// [`folds_in_one_shift`] admits.
+/// `matvec_operand` an operand's cached ones when [`LaneFold`] does not
+/// admit the call.
 #[inline(always)]
-fn fold_rows<const ONE_SHIFT: bool, W: Copy + Into<i64>>(
+fn fold_rows<W: Copy + Into<i64>>(
     cv: RawConverter,
     mode: AddMode,
     mul: MulMode,
@@ -900,11 +970,7 @@ fn fold_rows<const ONE_SHIFT: bool, W: Copy + Into<i64>>(
 ) {
     for (o, row) in out.iter_mut().zip(words.chunks_exact(cols)) {
         let mut fold = Fold::EMPTY;
-        if ONE_SHIFT {
-            fold.absorb_unsaturated(mode, mul, row, rx);
-        } else {
-            fold.absorb_products(mode, mul, row, rx);
-        }
+        fold.absorb_products(mode, mul, row, rx);
         *o = cv.from_raw(mode.sext(fold.bits(mode)));
     }
 }
@@ -930,7 +996,7 @@ fn matvec_rows(
         for (oc, rc) in out.chunks_mut(per).zip(rows.chunks(per * cols)) {
             let rr = &mut rr[..rc.len()];
             cv.to_raw_slice(rc, rr);
-            fold_rows::<false, i64>(cv, mode, mul, rr, cols, rx, oc);
+            fold_rows(cv, mode, mul, rr, cols, rx, oc);
         }
     } else if mode.exact_roundtrip {
         // Longer rows convert block by block into one fold each.
@@ -1552,15 +1618,17 @@ impl ArithContext for QcsContext {
         let rx = self.start_matvec(rows.values().len(), x);
         let max_x = rx.iter().fold(0, |m, &r| m.max(r.unsigned_abs()));
         let (cv, mode, mul) = (self.format.converter(), self.mode, self.mul_mode);
-        let one_shift = folds_in_one_shift(mode, mul, words.max_abs, max_x);
-        self.for_row_spans(words.raw.len(), cols, out, |r0, oc| {
-            let span = &words.raw[r0 * cols..(r0 + oc.len()) * cols];
-            if one_shift {
-                fold_rows::<true, i32>(cv, mode, mul, span, cols, &rx, oc);
-            } else {
-                fold_rows::<false, i32>(cv, mode, mul, span, cols, &rx, oc);
-            }
-        });
+        let span = |r0: usize, n: usize| &words.raw[r0 * cols..(r0 + n) * cols];
+        if let Some(lanes) = LaneFold::admit(mode, mul, words.max_abs, max_x) {
+            let xs = lanes.weights(rx);
+            self.for_row_spans(words.raw.len(), cols, out, |r0, oc| {
+                lanes.fold_rows(cv, mode, span(r0, oc.len()), cols, &xs, oc);
+            });
+        } else {
+            self.for_row_spans(words.raw.len(), cols, out, |r0, oc| {
+                fold_rows(cv, mode, mul, span(r0, oc.len()), cols, &rx, oc);
+            });
+        }
     }
 
     fn spmv_slice(
@@ -2000,6 +2068,41 @@ mod tests {
         }
     }
 
+    /// `matvec_operand` over the raw words `raw_rows` (`raw_x.len()` per
+    /// row) and `raw_x` on `format`, bit-equal to `ScalarPath` in
+    /// values, counts and energy at every level.
+    fn assert_operand_matvec_is_scalar(
+        adder: QcsAdder,
+        format: QFormat,
+        raw_rows: &[i64],
+        raw_x: &[i64],
+    ) {
+        let value = |r: &i64| *r as f64 / (1u64 << format.frac_bits()) as f64;
+        let xs: Vec<f64> = raw_x.iter().map(value).collect();
+        let rows = Operand::new(raw_rows.iter().map(value).collect());
+        let max_a = raw_rows.iter().map(|r| r.unsigned_abs()).max();
+        let words = rows.words(format).expect("narrow formats cache");
+        assert_eq!(Some(words.max_abs), max_a);
+        let n = raw_rows.len() / raw_x.len();
+        for level in AccuracyLevel::ALL {
+            let mut fast = QcsContext::new(adder, format, test_profile());
+            fast.set_level(level);
+            let mut slow = ScalarPath::new(fast.clone());
+            let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
+            fast.matvec_operand(&rows, raw_x.len(), &xs, &mut got);
+            slow.matvec_operand(&rows, raw_x.len(), &xs, &mut want);
+            let what = format!("{format} {adder:?} {level:?} x={raw_x:?}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{what}");
+            assert_eq!(fast.counts(), slow.counts(), "{what}");
+            assert_eq!(
+                fast.total_energy().to_bits(),
+                slow.total_energy().to_bits(),
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn one_shift_fold_holds_at_its_bound_and_yields_one_past_it() {
         // (width, frac, words at the bound, words one past it): with
@@ -2024,38 +2127,198 @@ mod tests {
                 let t = half.max(1);
                 let raw_x = [x, t, -t, 3];
                 let raw_rows = [a, -1, 3, 1, -a, 1, -3, -1, 1, -3, -1, a / 2];
-                let value = |r: &i64| *r as f64 / f64::from(f).exp2();
-                let xs: Vec<f64> = raw_x.iter().map(value).collect();
-                let rows = Operand::new(raw_rows.iter().map(value).collect());
                 for policy in [LowPartPolicy::Zero, LowPartPolicy::Or] {
+                    let adder = QcsAdder::with_policy(w, [w / 2, w / 3, w / 4, 1], policy);
                     for level in AccuracyLevel::ALL {
-                        let adder = QcsAdder::with_policy(w, [w / 2, w / 3, w / 4, 1], policy);
-                        let mut fast = QcsContext::new(adder, format, test_profile());
-                        fast.set_level(level);
-                        let mut slow = ScalarPath::new(fast.clone());
-                        let words = rows.words(format).expect("narrow formats cache");
-                        assert_eq!(words.max_abs, a as u64);
-                        let admitted =
-                            folds_in_one_shift(fast.mode, fast.mul_mode, a as u64, x as u64);
+                        let mode = AddMode::for_level(&adder, format, level);
+                        let mul = MulMode::for_format(format);
+                        let admitted = folds_in_one_shift(mode, mul, a as u64, x as u64);
+                        let what = format!("{format} {policy:?} {level:?} a={a} x={x}");
                         assert_eq!(
                             admitted,
                             at_bound && policy == LowPartPolicy::Zero,
-                            "{format} {policy:?} a={a} x={x}"
-                        );
-                        let (mut got, mut want) = ([0.0; 3], [0.0; 3]);
-                        fast.matvec_operand(&rows, 4, &xs, &mut got);
-                        slow.matvec_operand(&rows, 4, &xs, &mut want);
-                        let what = format!("{format} {policy:?} {level:?} a={a} x={x}");
-                        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{what}");
-                        assert_eq!(fast.counts(), slow.counts(), "{what}");
-                        assert_eq!(
-                            fast.total_energy().to_bits(),
-                            slow.total_energy().to_bits(),
                             "{what}"
                         );
+                        // Here w − 1 + f ≤ 47, so the bound admits the lanes.
+                        let lanes = LaneFold::admit(mode, mul, a as u64, x as u64);
+                        assert_eq!(lanes.is_some(), admitted, "{what}");
                     }
+                    assert_operand_matvec_is_scalar(adder, format, &raw_rows, &raw_x);
                 }
             }
+        }
+    }
+
+    /// The one-shift term `⌊(p + half − [p < 0 ∧ f > 0])/2^(f+k)⌋` in
+    /// integer arithmetic: the oracle for [`LaneFold`].
+    fn one_shift_term(mode: AddMode, mul: MulMode, p: i64) -> i64 {
+        let m = -i64::from(mul.frac_bits > 0);
+        (p + mul.half + ((p >> 63) & m)) >> (mul.frac_bits + mode.k)
+    }
+
+    /// [`LaneFold`]'s term for the word `a` and the lane weight `xs`.
+    fn lane_term(lanes: LaneFold, a: i64, xs: f64) -> i64 {
+        lanes.biased(a as i32, xs) - ROUND_MAGIC.to_bits() as i64
+    }
+
+    #[test]
+    fn lane_fold_gives_the_one_shift_term_on_every_admitted_pair() {
+        // (width, frac, pairs to sample; 0 = every pair).
+        for (w, f, sample) in [(8u32, 0u32, 0usize), (8, 3, 0), (12, 4, 60_000)] {
+            let format = QFormat::new(w, f);
+            let mul = MulMode::for_format(format);
+            let adder = QcsAdder::new(w, [w * 5 / 8, w / 2, w / 4, w / 8]);
+            let (lo, hi) = (-(1i64 << (w - 1)), (1i64 << (w - 1)) - 1);
+            let words: Vec<i64> = (lo..=hi).collect();
+            let mut rng = crate::rng::Pcg32::seeded(29, u64::from(w + f));
+            let mut pick = || lo + (rng.next_u64() % (1 << w)) as i64;
+            let pairs: Vec<(i64, i64)> = if sample == 0 {
+                words
+                    .iter()
+                    .flat_map(|&a| words.iter().map(move |&x| (a, x)))
+                    .collect()
+            } else {
+                (0..sample).map(|_| (pick(), pick())).collect()
+            };
+            for level in AccuracyLevel::ALL {
+                let mode = AddMode::for_level(&adder, format, level);
+                let lanes = LaneFold::admit(mode, mul, 0, 0).expect("zero words fold");
+                let weights = lanes.weights(words.clone());
+                let mut admitted = 0;
+                for &(a, x) in &pairs {
+                    let (ma, mx) = (a.unsigned_abs(), x.unsigned_abs());
+                    let one_shift = folds_in_one_shift(mode, mul, ma, mx);
+                    // w − 1 + f ≤ 15: the one-shift bound admits the lanes.
+                    assert_eq!(LaneFold::admit(mode, mul, ma, mx).is_some(), one_shift);
+                    if one_shift {
+                        admitted += 1;
+                        let xs = weights[(x - lo) as usize];
+                        let (got, want) =
+                            (lane_term(lanes, a, xs), one_shift_term(mode, mul, a * x));
+                        assert_eq!(got, want, "{format} {level:?} a={a} x={x}");
+                    }
+                }
+                assert!(admitted > 1_000, "{format} {level:?}: {admitted}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_fold_admission_stops_at_2_to_the_51() {
+        // On Q7.24 the one-shift bound, a·x + half < 2⁵⁵, allows
+        // products the lanes cannot hold exactly. Just under 2⁵¹ they
+        // are admitted; at 2⁵¹ and past 2⁵³ they are refused. The last
+        // product is odd, rounds to the even neighbor above it in
+        // `f64` and would end one term too high.
+        let format = QFormat::new(32, 24);
+        let mul = MulMode::for_format(format);
+        let adder = QcsAdder::new(32, [16, 10, 8, 1]);
+        let under = ((1i64 << 26) - 1, 1i64 << 25);
+        let at = (1i64 << 26, 1i64 << 25);
+        let far = ((1i64 << 27) - 1, 75_497_473i64);
+        assert!(far.0 * far.1 > 1 << 53);
+        for ((a, x), lanes_admitted) in [(under, true), (at, false), (far, false)] {
+            for level in AccuracyLevel::ALL {
+                let mode = AddMode::for_level(&adder, format, level);
+                let what = format!("{level:?} a={a} x={x}");
+                assert!(folds_in_one_shift(mode, mul, a as u64, x as u64), "{what}");
+                let lanes = LaneFold::admit(mode, mul, a as u64, x as u64);
+                assert_eq!(lanes.is_some(), lanes_admitted, "{what}");
+            }
+            let raw_x = [x, -x, 1, -(1 << 23)];
+            let raw_rows = [a, 0, 7, 1, -a, a, -1, 3, 1, -3, -a, a / 2];
+            assert_operand_matvec_is_scalar(adder, format, &raw_rows, &raw_x);
+        }
+        // An `f + k` above 51 is refused on words of any size.
+        let deep = QcsAdder::new(32, [28, 27, 8, 1]);
+        for level in AccuracyLevel::ALL {
+            let mode = AddMode::for_level(&deep, format, level);
+            assert!(folds_in_one_shift(mode, mul, 1, 1));
+            let admitted = LaneFold::admit(mode, mul, 1, 1).is_some();
+            assert_eq!(admitted, mode.k + 24 <= 51, "{level:?}");
+        }
+        assert_operand_matvec_is_scalar(deep, format, &[3, -5, 1 << 20, -7], &[-(1 << 27), 9]);
+    }
+
+    #[test]
+    fn lane_fold_admits_every_one_shift_call_on_q11_20() {
+        // w − 1 + f = 51: the one-shift bound is the 2⁵¹ bound, and
+        // f + k ≤ 20 + 31. Words at the bound, one past it, then a sample.
+        let format = QFormat::new(32, 20);
+        let mul = MulMode::for_format(format);
+        let adder = QcsAdder::new(32, [31, 20, 10, 1]);
+        let mut rng = crate::rng::Pcg32::seeded(53, 20);
+        // Sampled words span 2⁸–2³¹, so their products straddle 2⁵¹.
+        let mut word = || rng.next_u64() >> (33 + rng.next_u64() % 24);
+        let mut maxima = vec![(1u64 << 25, (1u64 << 26) - 1), (1 << 25, 1 << 26)];
+        maxima.extend((0..2_000).map(|_| (word(), word())));
+        for level in AccuracyLevel::ALL {
+            let mode = AddMode::for_level(&adder, format, level);
+            let mut admitted = 0;
+            for &(ma, mx) in &maxima {
+                let one_shift = folds_in_one_shift(mode, mul, ma, mx);
+                assert_eq!(LaneFold::admit(mode, mul, ma, mx).is_some(), one_shift);
+                admitted += usize::from(one_shift);
+            }
+            assert!(admitted > 500, "{level:?}: {admitted}");
+        }
+        let (a, x) = (1i64 << 25, (1i64 << 26) - 1);
+        assert_operand_matvec_is_scalar(adder, format, &[a, -a, -3, 1, 0, a], &[x, -x]);
+    }
+
+    #[test]
+    fn lane_fold_edge_cases_match_the_scalar_path() {
+        // Negative exact ties p ≡ −half (mod 2^(f+k)) at every level,
+        // the products the sign step moves down by one: the words
+        // −(1 + j·2^(k+1)) times the word `half`.
+        let format = QFormat::Q15_16;
+        let mul = MulMode::for_format(format);
+        let adder = QcsAdder::paper_default();
+        for level in AccuracyLevel::ALL {
+            let mode = AddMode::for_level(&adder, format, level);
+            let ties: Vec<i64> = (0..5).map(|j| -1 - (j << (mode.k + 1))).collect();
+            let (ma, mx) = (ties[4].unsigned_abs(), mul.half as u64);
+            let lanes = LaneFold::admit(mode, mul, ma, mx).expect("small words");
+            let xs = lanes.weights(vec![mul.half])[0];
+            for &a in &ties {
+                let p = a * mul.half;
+                assert_eq!((p + mul.half) % (1 << (16 + mode.k)), 0, "a tie");
+                assert_eq!(lane_term(lanes, a, xs), one_shift_term(mode, mul, p), "{p}");
+            }
+            let rows: Vec<i64> = ties.iter().flat_map(|&a| [a, 0]).collect();
+            assert_operand_matvec_is_scalar(adder, format, &rows, &[mul.half, 5]);
+        }
+        // Zero words against negative `x`, and negative words against a
+        // zero `x`: the `−0.0` products, with and without `f`. Then
+        // f = 0, with no rounding half and no sign step, at its bound
+        // (181² < 2¹⁵).
+        let cases: [(QFormat, &[i64], &[i64]); 3] = [
+            (
+                QFormat::Q15_16,
+                &[0, 0, 0, -3, 7, 0, 0, -1, -9],
+                &[-5, -1, 0],
+            ),
+            (
+                QFormat::new(16, 0),
+                &[0, 0, 0, -3, 7, 0, 0, -1, -9],
+                &[-5, -1, 0],
+            ),
+            (
+                QFormat::new(16, 0),
+                &[-181, 181, -1, 1, -2, 3, 100, -100, 5, -7, 11, -13],
+                &[181, -181, 3, 5],
+            ),
+        ];
+        for (format, rows, x) in cases {
+            let mul = MulMode::for_format(format);
+            let adder = QcsAdder::new(format.width(), [9, 6, 3, 1]);
+            let max = |v: &[i64]| v.iter().map(|r| r.unsigned_abs()).max().unwrap_or(0);
+            for level in AccuracyLevel::ALL {
+                let mode = AddMode::for_level(&adder, format, level);
+                let lanes = LaneFold::admit(mode, mul, max(rows), max(x));
+                assert!(lanes.is_some(), "{format} {level:?}");
+            }
+            assert_operand_matvec_is_scalar(adder, format, rows, x);
         }
     }
 

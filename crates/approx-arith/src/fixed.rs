@@ -197,6 +197,14 @@ impl QFormat {
     }
 }
 
+/// 1.5·2⁵², the round-to-integer constant. For `|v| < 2⁵¹`, `v` plus
+/// the constant lies in [2⁵², 2⁵³), where consecutive `f64`s are 1
+/// apart, so the sum is the constant plus `v` rounded to nearest, ties
+/// to even, and that integer is the sum's bit pattern minus the
+/// constant's. [`RawConverter::to_raw_slice`] and the QCS context's
+/// lane fold round with it, so neither needs a float→int cast.
+pub(crate) const ROUND_MAGIC: f64 = 6_755_399_441_055_744.0;
+
 /// Precomputed f64 ↔ raw conversion constants for one [`QFormat`].
 ///
 /// Exists so slice kernels can hoist the scale factors (`2^frac` and
@@ -257,12 +265,12 @@ impl RawConverter {
     ///
     /// Formats of at most 32 bits take a shorter path with no
     /// float→int cast at all, so it vectorizes on baseline x86-64.
-    /// Clamp in `f64` first; the clamped `c` has |c| ≤ 2³¹. Then
-    /// `t = c + 1.5·2⁵²` lies in [2⁵², 2⁵³), where consecutive `f64`s
-    /// are 1 apart, so `t` is `1.5·2⁵²` plus `c` rounded to nearest,
-    /// ties to even, and that integer is `t`'s bit pattern minus the
-    /// constant's. `t − 1.5·2⁵²` is that even-rounded value exactly, and
-    /// so is the remainder `d = c − even` (|d| ≤ ½). A tie shows as
+    /// Clamp in `f64` first; the clamped `c` has |c| ≤ 2³¹, so
+    /// `t = c + 1.5·2⁵²` (the crate's `ROUND_MAGIC`) is the constant
+    /// plus `c` rounded to nearest, ties to even, and that integer is
+    /// `t`'s bit pattern minus the constant's. `t − 1.5·2⁵²` is that
+    /// even-rounded value exactly, and so is the remainder
+    /// `d = c − even` (|d| ≤ ½). A tie shows as
     /// d = ±½; rounding half away from zero moves it one step further
     /// out only when d has c's sign, i.e. when the even choice went
     /// toward zero. NaN survives `f64::clamp`, and an explicit select
@@ -275,12 +283,11 @@ impl RawConverter {
         let max_f = self.max_raw as f64;
         let min_f = self.min_raw as f64;
         if self.max_raw <= i64::from(i32::MAX) {
-            const MAGIC: f64 = 6_755_399_441_055_744.0; // 1.5 · 2⁵²
-            let magic_bits = MAGIC.to_bits() as i64;
+            let magic_bits = ROUND_MAGIC.to_bits() as i64;
             for (o, &x) in out.iter_mut().zip(xs) {
                 let c = (x * self.scale).clamp(min_f, max_f);
-                let t = c + MAGIC;
-                let d = c - (t - MAGIC);
+                let t = c + ROUND_MAGIC;
+                let d = c - (t - ROUND_MAGIC);
                 let away = i64::from((d == 0.5) & (c > 0.0)) - i64::from((d == -0.5) & (c < 0.0));
                 let r = (t.to_bits() as i64 - magic_bits) + away;
                 *o = if c.is_nan() { 0 } else { r };
