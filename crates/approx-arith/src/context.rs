@@ -1099,9 +1099,7 @@ fn spmv_rows(
 /// The slice kernels are overridden with raw-word loops that convert
 /// once per slice, hoist the level dispatch, and charge the meters in
 /// one integer bump — bit-identical to the scalar path but several times
-/// faster (perfbench's `approx_arith` layer times them). When an operand
-/// trace is being recorded the kernels fall back to the per-op path so
-/// the trace stays exactly what the scalar semantics would record.
+/// faster (perfbench's `approx_arith` layer times them).
 ///
 /// # Example
 ///
@@ -1138,13 +1136,6 @@ pub struct QcsContext {
     add_counts: [u64; 5],
     muls: u64,
     divs: u64,
-    trace: Option<Trace>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct Trace {
-    capacity: usize,
-    pairs: Vec<(u64, u64)>,
 }
 
 impl QcsContext {
@@ -1172,7 +1163,6 @@ impl QcsContext {
             add_counts: [0; 5],
             muls: 0,
             divs: 0,
-            trace: None,
         }
     }
 
@@ -1228,11 +1218,6 @@ impl QcsContext {
         self
     }
 
-    /// Replace (or remove, with `None`) the attached executor.
-    pub fn set_executor(&mut self, exec: Option<parx::Executor>) {
-        self.par = exec;
-    }
-
     /// The attached executor, if any.
     #[must_use]
     pub fn executor(&self) -> Option<parx::Executor> {
@@ -1258,40 +1243,45 @@ impl QcsContext {
         rx
     }
 
-    /// Run `rows(r0, out_span)` over the output rows of a dense matvec
-    /// of `elems` entries, `cols` per row. Under an executor the rows
-    /// are partitioned: each chunk of output rows is one task, so every
-    /// row's reduction runs intact inside a single worker — safe at any
-    /// width. Rows per chunk depend only on the shape.
-    fn for_row_spans(
+    /// Run `span(start, out_span)` over `out` for a kernel performing
+    /// `fabric_ops` operations, where `start` is the span's offset into
+    /// `out`. Under an executor `out` is cut into chunks of `per_chunk`
+    /// outputs (at least one), one task each; otherwise a single span
+    /// covers all of `out`. Each output is written by exactly one span,
+    /// so a row's reduction runs intact inside one worker — safe at any
+    /// width. `per_chunk` must depend only on the shape, never on the
+    /// thread count.
+    fn for_spans(
         &self,
-        elems: usize,
-        cols: usize,
+        fabric_ops: usize,
+        per_chunk: usize,
         out: &mut [f64],
-        rows: impl Fn(usize, &mut [f64]) + Sync,
+        span: impl Fn(usize, &mut [f64]) + Sync,
     ) {
-        if let Some(exec) = self.par_exec(elems) {
-            let rpc = (PAR_CHUNK / cols).max(1);
-            exec.for_each_chunk(out, rpc, |ci, oc| rows(ci * rpc, oc));
+        if let Some(exec) = self.par_exec(fabric_ops) {
+            let per_chunk = per_chunk.max(1);
+            exec.for_each_chunk(out, per_chunk, |ci, oc| span(ci * per_chunk, oc));
         } else {
-            rows(0, out);
+            span(0, out);
         }
     }
 
-    /// Start recording the operand bit patterns of approximate adds into
-    /// a bounded trace (for trace-driven characterization). Recording
-    /// stops silently once `capacity` pairs are stored.
-    pub fn record_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace {
-            capacity,
-            pairs: Vec::with_capacity(capacity.min(4096)),
-        });
-    }
-
-    /// The recorded operand trace, if recording was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&[(u64, u64)]> {
-        self.trace.as_ref().map(|t| t.pairs.as_slice())
+    /// The masked bits of a reduction over `0..len` on an
+    /// exactly-round-tripping width, where `span_bits(s, e)` folds
+    /// `s..e`. Under an executor the range is cut into `PAR_CHUNK`
+    /// spans and their partials are merged in chunk order with
+    /// `add_bits`, which reproduces the serial fold (see [`Fold`]).
+    fn reduce_bits(&self, len: usize, span_bits: impl Fn(usize, usize) -> u64 + Sync) -> u64 {
+        let mode = self.mode;
+        match self.par_exec(len) {
+            Some(exec) => exec
+                .map_chunks(len as u64, PAR_CHUNK as u64, |s, e| {
+                    span_bits(s as usize, e as usize)
+                })
+                .into_iter()
+                .fold(0, |acc, p| mode.add_bits(acc, p)),
+            None => span_bits(0, len),
+        }
     }
 }
 
@@ -1301,11 +1291,6 @@ impl ArithContext for QcsContext {
         self.add_counts[self.level.index()] += 1;
         let ba = self.format.to_bits(self.format.to_raw(a));
         let bb = self.format.to_bits(self.format.to_raw(b));
-        if let Some(trace) = &mut self.trace {
-            if trace.pairs.len() < trace.capacity {
-                trace.pairs.push((ba, bb));
-            }
-        }
         let bits = self.mode.add_bits(ba, bb);
         self.format.from_raw(self.format.from_bits(bits))
     }
@@ -1372,9 +1357,6 @@ impl ArithContext for QcsContext {
         self.add_counts = [0; 5];
         self.muls = 0;
         self.divs = 0;
-        if let Some(trace) = &mut self.trace {
-            trace.pairs.clear();
-        }
     }
 
     fn datapath_format(&self) -> Option<QFormat> {
@@ -1388,175 +1370,82 @@ impl ArithContext for QcsContext {
     fn add_slice(&mut self, xs: &[f64], ys: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
         assert_eq!(xs.len(), out.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-                *o = self.add(x, y);
-            }
-            return;
-        }
         self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(out, PAR_CHUNK, |ci, oc| {
-                let s = ci * PAR_CHUNK;
-                add_span(cv, mode, &xs[s..s + oc.len()], &ys[s..s + oc.len()], oc);
-            });
-        } else {
-            add_span(cv, mode, xs, ys, out);
-        }
+        let (cv, mode) = (self.format.converter(), self.mode);
+        self.for_spans(xs.len(), PAR_CHUNK, out, |s, oc| {
+            let n = oc.len();
+            add_span(cv, mode, &xs[s..s + n], &ys[s..s + n], oc);
+        });
     }
 
     fn sub_slice(&mut self, xs: &[f64], ys: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
         assert_eq!(xs.len(), out.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-                *o = self.sub(x, y);
-            }
-            return;
-        }
         self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(out, PAR_CHUNK, |ci, oc| {
-                let s = ci * PAR_CHUNK;
-                sub_span(cv, mode, &xs[s..s + oc.len()], &ys[s..s + oc.len()], oc);
-            });
-        } else {
-            sub_span(cv, mode, xs, ys, out);
-        }
+        let (cv, mode) = (self.format.converter(), self.mode);
+        self.for_spans(xs.len(), PAR_CHUNK, out, |s, oc| {
+            let n = oc.len();
+            sub_span(cv, mode, &xs[s..s + n], &ys[s..s + n], oc);
+        });
     }
 
     fn scale_slice(&mut self, alpha: f64, xs: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "slice lengths must match");
         self.muls += xs.len() as u64;
-        let cv = self.format.converter();
-        let mul = self.mul_mode;
+        let (cv, mul) = (self.format.converter(), self.mul_mode);
         let ra = cv.to_raw(alpha);
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(out, PAR_CHUNK, |ci, oc| {
-                let s = ci * PAR_CHUNK;
-                scale_span(cv, mul, ra, &xs[s..s + oc.len()], oc);
-            });
-        } else {
-            scale_span(cv, mul, ra, xs, out);
-        }
+        self.for_spans(xs.len(), PAR_CHUNK, out, |s, oc| {
+            scale_span(cv, mul, ra, &xs[s..s + oc.len()], oc);
+        });
     }
 
     fn axpy_slice(&mut self, alpha: f64, xs: &[f64], ys: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
         assert_eq!(xs.len(), out.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-                let p = self.mul(alpha, x);
-                *o = self.add(p, y);
-            }
-            return;
-        }
         self.muls += xs.len() as u64;
         self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        let mul = self.mul_mode;
+        let (cv, mode, mul) = (self.format.converter(), self.mode, self.mul_mode);
         let ra = cv.to_raw(alpha);
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(out, PAR_CHUNK, |ci, oc| {
-                let s = ci * PAR_CHUNK;
-                axpy_span(
-                    cv,
-                    mode,
-                    mul,
-                    ra,
-                    &xs[s..s + oc.len()],
-                    &ys[s..s + oc.len()],
-                    oc,
-                );
-            });
-        } else {
-            axpy_span(cv, mode, mul, ra, xs, ys, out);
-        }
+        self.for_spans(xs.len(), PAR_CHUNK, out, |s, oc| {
+            let n = oc.len();
+            axpy_span(cv, mode, mul, ra, &xs[s..s + n], &ys[s..s + n], oc);
+        });
     }
 
     fn add_assign_slice(&mut self, ys: &mut [f64], xs: &[f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for (y, &x) in ys.iter_mut().zip(xs) {
-                *y = self.add(*y, x);
-            }
-            return;
-        }
         self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(ys, PAR_CHUNK, |ci, yc| {
-                let s = ci * PAR_CHUNK;
-                add_assign_span(cv, mode, yc, &xs[s..s + yc.len()]);
-            });
-        } else {
-            add_assign_span(cv, mode, ys, xs);
-        }
+        let (cv, mode) = (self.format.converter(), self.mode);
+        self.for_spans(xs.len(), PAR_CHUNK, ys, |s, yc| {
+            add_assign_span(cv, mode, yc, &xs[s..s + yc.len()]);
+        });
     }
 
     fn axpy_assign_slice(&mut self, ys: &mut [f64], alpha: f64, xs: &[f64]) {
         assert_eq!(xs.len(), ys.len(), "slice lengths must match");
-        if self.trace.is_some() {
-            for (y, &x) in ys.iter_mut().zip(xs) {
-                let p = self.mul(alpha, x);
-                *y = self.add(*y, p);
-            }
-            return;
-        }
         self.muls += xs.len() as u64;
         self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        let mul = self.mul_mode;
+        let (cv, mode, mul) = (self.format.converter(), self.mode, self.mul_mode);
         let ra = cv.to_raw(alpha);
-        if let Some(exec) = self.par_exec(xs.len()) {
-            exec.for_each_chunk(ys, PAR_CHUNK, |ci, yc| {
-                let s = ci * PAR_CHUNK;
-                axpy_assign_span(cv, mode, mul, ra, yc, &xs[s..s + yc.len()]);
-            });
-        } else {
-            axpy_assign_span(cv, mode, mul, ra, ys, xs);
-        }
+        self.for_spans(xs.len(), PAR_CHUNK, ys, |s, yc| {
+            axpy_assign_span(cv, mode, mul, ra, yc, &xs[s..s + yc.len()]);
+        });
     }
 
     fn dot_slice(&mut self, xs: &[f64], ys: &[f64]) -> f64 {
         assert_eq!(xs.len(), ys.len(), "dot operands must have equal length");
-        if self.trace.is_some() {
-            let mut acc = 0.0;
-            for (&x, &y) in xs.iter().zip(ys) {
-                let p = self.mul(x, y);
-                acc = self.add(acc, p);
-            }
-            return acc;
-        }
         self.muls += xs.len() as u64;
         self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        let mul = self.mul_mode;
+        let (cv, mode, mul) = (self.format.converter(), self.mode, self.mul_mode);
         if mode.exact_roundtrip {
             // The bits→raw→f64→raw→bits round-trip between fused ops is
             // the identity here, so the accumulator never has to leave
             // the masked-bits domain — and the bits-domain add is
             // associative (see `Fold`), so the reduction may be
             // chunked across workers and merged in chunk order.
-            let acc_bits = if let Some(exec) = self.par_exec(xs.len()) {
-                let partials = exec.map_chunks(xs.len() as u64, PAR_CHUNK as u64, |s, e| {
-                    let (s, e) = (s as usize, e as usize);
-                    dot_span_bits(cv, mode, mul, &xs[s..e], &ys[s..e])
-                });
-                partials
-                    .into_iter()
-                    .fold(0u64, |acc, p| mode.add_bits(acc, p))
-            } else {
-                dot_span_bits(cv, mode, mul, xs, ys)
-            };
+            let acc_bits = self.reduce_bits(xs.len(), |s, e| {
+                dot_span_bits(cv, mode, mul, &xs[s..e], &ys[s..e])
+            });
             cv.from_raw(mode.sext(acc_bits))
         } else {
             // Wide path: the per-step f64 round-trip is not associative,
@@ -1585,15 +1474,9 @@ impl ArithContext for QcsContext {
             out.fill(0.0);
             return;
         }
-        if self.trace.is_some() {
-            for (o, row) in out.iter_mut().zip(rows.chunks_exact(cols)) {
-                *o = self.dot_slice(row, x);
-            }
-            return;
-        }
         let (cv, mode, mul) = (self.format.converter(), self.mode, self.mul_mode);
         let rx = self.start_matvec(rows.len(), x);
-        self.for_row_spans(rows.len(), cols, out, |r0, oc| {
+        self.for_spans(rows.len(), PAR_CHUNK / cols, out, |r0, oc| {
             let span = &rows[r0 * cols..(r0 + oc.len()) * cols];
             matvec_rows(cv, mode, mul, span, cols, &rx, oc);
         });
@@ -1606,12 +1489,8 @@ impl ArithContext for QcsContext {
             cols * out.len(),
             "matrix shape mismatch"
         );
-        // Traced calls record per-op operands, and the cache holds the
-        // words of one format of at most 32 bits.
-        let words = match self.trace {
-            None if cols > 0 => rows.words(self.format),
-            _ => None,
-        };
+        // The cache holds the words of one format of at most 32 bits.
+        let words = (cols > 0).then(|| rows.words(self.format)).flatten();
         let Some(words) = words else {
             return self.matvec_slice(rows.values(), cols, x, out);
         };
@@ -1619,13 +1498,14 @@ impl ArithContext for QcsContext {
         let max_x = rx.iter().fold(0, |m, &r| m.max(r.unsigned_abs()));
         let (cv, mode, mul) = (self.format.converter(), self.mode, self.mul_mode);
         let span = |r0: usize, n: usize| &words.raw[r0 * cols..(r0 + n) * cols];
+        let (elems, per_chunk) = (words.raw.len(), PAR_CHUNK / cols);
         if let Some(lanes) = LaneFold::admit(mode, mul, words.max_abs, max_x) {
             let xs = lanes.weights(rx);
-            self.for_row_spans(words.raw.len(), cols, out, |r0, oc| {
+            self.for_spans(elems, per_chunk, out, |r0, oc| {
                 lanes.fold_rows(cv, mode, span(r0, oc.len()), cols, &xs, oc);
             });
         } else {
-            self.for_row_spans(words.raw.len(), cols, out, |r0, oc| {
+            self.for_spans(elems, per_chunk, out, |r0, oc| {
                 fold_rows(cv, mode, mul, span(r0, oc.len()), cols, &rx, oc);
             });
         }
@@ -1640,68 +1520,32 @@ impl ArithContext for QcsContext {
         out: &mut [f64],
     ) {
         check_csr_shape(values, col_idx, row_ptr, out.len());
-        if self.trace.is_some() {
-            for (r, o) in out.iter_mut().enumerate() {
-                let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
-                let mut acc = 0.0;
-                for (&a, &j) in values[lo..hi].iter().zip(&col_idx[lo..hi]) {
-                    let p = self.mul(a, x[j]);
-                    acc = self.add(acc, p);
-                }
-                *o = acc;
-            }
-            return;
-        }
         let nnz = values.len() as u64;
         self.muls += nnz;
         self.add_counts[self.level.index()] += nnz;
-        let cv = self.format.converter();
-        let mode = self.mode;
-        let mul = self.mul_mode;
+        let (cv, mode, mul) = (self.format.converter(), self.mode, self.mul_mode);
         // The shared vector is converted exactly once; every stored
         // entry's product then reuses the raw words. (Gathering x[j] is
         // exact index arithmetic — only the product and the reduction
         // touch the fabric.)
         let mut rx = vec![0i64; x.len()];
         cv.to_raw_slice(x, &mut rx);
-        if let Some(exec) = self.par_exec(values.len()) {
-            // Row-partitioned like matvec: rows per chunk derive from
-            // the mean stored entries per row — a function of the matrix
-            // only, so the chunking (and hence every row's task) is the
-            // same for every thread count.
-            let mean_nnz = (values.len() / out.len().max(1)).max(1);
-            let rpc = (PAR_CHUNK / mean_nnz).max(1);
-            exec.for_each_chunk(out, rpc, |ci, oc| {
-                spmv_rows(cv, mode, mul, values, col_idx, row_ptr, &rx, ci * rpc, oc);
-            });
-        } else {
-            spmv_rows(cv, mode, mul, values, col_idx, row_ptr, &rx, 0, out);
-        }
+        // Row-partitioned like matvec: rows per chunk derive from the
+        // mean stored entries per row — a function of the matrix only,
+        // so the chunking (and hence every row's task) is the same for
+        // every thread count.
+        let mean_nnz = (values.len() / out.len().max(1)).max(1);
+        self.for_spans(values.len(), PAR_CHUNK / mean_nnz, out, |r0, oc| {
+            spmv_rows(cv, mode, mul, values, col_idx, row_ptr, &rx, r0, oc);
+        });
     }
 
     fn sum_slice(&mut self, xs: &[f64]) -> f64 {
-        if self.trace.is_some() {
-            let mut acc = 0.0;
-            for &x in xs {
-                acc = self.add(acc, x);
-            }
-            return acc;
-        }
         self.add_counts[self.level.index()] += xs.len() as u64;
-        let cv = self.format.converter();
-        let mode = self.mode;
+        let (cv, mode) = (self.format.converter(), self.mode);
         if mode.exact_roundtrip {
             // Same chunked-reduction contract as `dot_slice`.
-            let acc_bits = if let Some(exec) = self.par_exec(xs.len()) {
-                let partials = exec.map_chunks(xs.len() as u64, PAR_CHUNK as u64, |s, e| {
-                    sum_span_bits(cv, mode, &xs[s as usize..e as usize])
-                });
-                partials
-                    .into_iter()
-                    .fold(0u64, |acc, p| mode.add_bits(acc, p))
-            } else {
-                sum_span_bits(cv, mode, xs)
-            };
+            let acc_bits = self.reduce_bits(xs.len(), |s, e| sum_span_bits(cv, mode, &xs[s..e]));
             cv.from_raw(mode.sext(acc_bits))
         } else {
             let mut rx = [0i64; BLOCK];
@@ -1841,7 +1685,7 @@ impl<C: ArithContext> ArithContext for ScalarPath<C> {
 /// use approx_arith::{ArithContext, ExactContext};
 ///
 /// let mut ctx = ExactContext::new();
-/// assert_eq!(ctx.dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
+/// assert_eq!(ctx.dot_slice(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
 /// assert_eq!(ctx.counts().muls, 2);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -2484,36 +2328,6 @@ mod tests {
         }
         // And level errors shrink as accuracy rises.
         assert!(worst[0] > worst[3]);
-    }
-
-    #[test]
-    fn trace_records_bit_patterns() {
-        let mut ctx = test_ctx();
-        ctx.record_trace(2);
-        ctx.set_level(AccuracyLevel::Level2);
-        ctx.add(1.0, 2.0);
-        ctx.add(3.0, 4.0);
-        ctx.add(5.0, 6.0); // beyond capacity: dropped
-        let trace = ctx.trace().unwrap();
-        assert_eq!(trace.len(), 2);
-        assert_eq!(
-            trace[0].0,
-            QFormat::Q15_16.to_bits(QFormat::Q15_16.to_raw(1.0))
-        );
-    }
-
-    #[test]
-    fn kernels_fall_back_to_per_op_path_while_tracing() {
-        let mut ctx = test_ctx();
-        ctx.record_trace(16);
-        ctx.set_level(AccuracyLevel::Level3);
-        let mut out = [0.0; 3];
-        ctx.add_slice(&[1.0, 2.0, 3.0], &[0.5, 0.5, 0.5], &mut out);
-        let _ = ctx.dot_slice(&[1.0, 2.0], &[3.0, 4.0]);
-        // 3 adds from add_slice + 2 from the dot reduction.
-        assert_eq!(ctx.trace().unwrap().len(), 5);
-        assert_eq!(ctx.counts().adds, 5);
-        assert_eq!(ctx.counts().muls, 2);
     }
 
     #[test]

@@ -152,23 +152,17 @@ impl Workspace {
 
 /// One syntactic call site inside a function body.
 #[derive(Debug)]
-pub struct CallSite {
+struct CallSite {
     /// Called name (`step` for both `x.step(…)` and `Type::step(…)`).
-    pub name: String,
-    /// `Some(Type)` when the call is written `Type::name(…)`.
-    pub type_hint: Option<String>,
-    /// Whether it is a method call (`recv.name(…)`).
-    pub is_method: bool,
-    /// 1-based position of the name token.
-    pub line: u32,
-    /// 1-based column of the name token.
-    pub col: u32,
+    name: String,
+    /// `Some(Type)` when the call is written `Type::name(…)`; method
+    /// calls (`recv.name(…)`) carry none.
+    type_hint: Option<String>,
 }
 
 /// Scan a body token range for call sites (`name(`, `Type::name(`,
 /// `recv.name(`). Macro invocations (`name!(…)`) are not calls.
-#[must_use]
-pub fn call_sites(code: &[Token], body: std::ops::Range<usize>) -> Vec<CallSite> {
+fn call_sites(code: &[Token], body: std::ops::Range<usize>) -> Vec<CallSite> {
     let mut out = Vec::new();
     for i in body.clone() {
         let tok = &code[i];
@@ -192,9 +186,6 @@ pub fn call_sites(code: &[Token], body: std::ops::Range<usize>) -> Vec<CallSite>
         out.push(CallSite {
             name: tok.text.clone(),
             type_hint,
-            is_method,
-            line: tok.line,
-            col: tok.col,
         });
     }
     out
@@ -254,14 +245,14 @@ mod tests {
         )]);
         let def = &w.units[0].fns[0];
         let sites = call_sites(&w.units[0].code, def.body.clone());
-        let names: Vec<(&str, bool, Option<&str>)> = sites
+        let names: Vec<(&str, Option<&str>)> = sites
             .iter()
-            .map(|s| (s.name.as_str(), s.is_method, s.type_hint.as_deref()))
+            .map(|s| (s.name.as_str(), s.type_hint.as_deref()))
             .collect();
-        assert!(names.contains(&("free", false, None)));
-        assert!(names.contains(&("assoc", false, Some("S"))));
-        assert!(names.contains(&("method", true, None)));
-        assert!(!names.iter().any(|(n, _, _)| *n == "vec"), "macro skipped");
+        assert!(names.contains(&("free", None)));
+        assert!(names.contains(&("assoc", Some("S"))));
+        assert!(names.contains(&("method", None)));
+        assert!(!names.iter().any(|(n, _)| *n == "vec"), "macro skipped");
     }
 
     #[test]

@@ -262,7 +262,7 @@ pub fn assemble(
 /// # Errors
 /// Propagates directory-walk I/O errors; missing optional directories
 /// (e.g. a crate without `tests/`) are skipped silently.
-pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let top_manifest = root.join("Cargo.toml");
     if top_manifest.is_file() {

@@ -73,14 +73,6 @@ pub struct FnDef {
     pub is_test: bool,
 }
 
-impl FnDef {
-    /// Index of the named parameter.
-    #[must_use]
-    pub fn param_index(&self, name: &str) -> Option<usize> {
-        self.params.iter().position(|p| p.name == name)
-    }
-}
-
 /// Context types that may produce approximate values.
 pub const APPROX_CTX_TYPES: &[&str] = &["QcsContext", "ArithContext", "FaultInjector"];
 /// Context types that are exact by contract.
@@ -94,7 +86,7 @@ pub const EXACT_CTX_TYPES: &[&str] = &["ExactContext", "ScalarPath"];
 /// `FaultInjector<ExactContext>` is approximate (it corrupts whatever
 /// it wraps).
 #[must_use]
-pub fn classify_type(ty: &[Token], approx_generics: &[String]) -> ParamKind {
+fn classify_type(ty: &[Token], approx_generics: &[String]) -> ParamKind {
     for tok in ty {
         if tok.kind != TokenKind::Ident {
             continue;

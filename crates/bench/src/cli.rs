@@ -202,23 +202,6 @@ fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// Render a flat key → value map as a JSON object.
-#[must_use]
-pub fn render_json_object(entries: &[(&str, JsonValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (key, value)) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        escape_into(key, &mut out);
-        out.push_str("\": ");
-        value.render(&mut out);
-    }
-    out.push_str("}\n");
-    out
-}
-
 /// Pass/fail accounting with eager diagnostics, shared by the
 /// verification-style binaries.
 ///
@@ -435,16 +418,15 @@ mod tests {
 
     #[test]
     fn json_objects_escape_and_render() {
-        let text = render_json_object(&[
-            ("name", JsonValue::Str("a\"b\n".into())),
-            ("n", JsonValue::UInt(3)),
-            ("x", JsonValue::Num(0.5)),
-            ("bad", JsonValue::Num(f64::NAN)),
-            ("ok", JsonValue::Bool(true)),
-        ]);
-        assert_eq!(
-            text,
-            "{\"name\": \"a\\\"b\\n\", \"n\": 3, \"x\": 0.5, \"bad\": null, \"ok\": true}\n"
-        );
+        let text = |value: JsonValue| {
+            let mut out = String::new();
+            value.render(&mut out);
+            out
+        };
+        assert_eq!(text(JsonValue::Str("a\"b\n".into())), "\"a\\\"b\\n\"");
+        assert_eq!(text(JsonValue::UInt(3)), "3");
+        assert_eq!(text(JsonValue::Num(0.5)), "0.5");
+        assert_eq!(text(JsonValue::Num(f64::NAN)), "null");
+        assert_eq!(text(JsonValue::Bool(true)), "true");
     }
 }

@@ -82,14 +82,6 @@ pub struct CtrlState {
     pub stall: u8,
 }
 
-impl CtrlState {
-    /// The [`AccuracyLevel`] of this state.
-    #[must_use]
-    pub fn accuracy_level(&self) -> AccuracyLevel {
-        AccuracyLevel::from_index(self.level as usize).expect("level index in 0..5")
-    }
-}
-
 impl std::fmt::Display for CtrlState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

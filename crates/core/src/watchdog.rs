@@ -99,17 +99,6 @@ impl WatchdogConfig {
         self.iteration_budget = Some(iterations);
         self
     }
-
-    /// Whether any protection beyond the plain strategy loop is active.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.guard_non_finite
-            || self.overflow_threshold.is_some()
-            || self.divergence_window.is_some()
-            || self.checkpoint_interval > 0
-            || self.escalation_threshold.is_some()
-            || self.iteration_budget.is_some()
-    }
 }
 
 /// Recovery events observed during one run, surfaced in
@@ -183,19 +172,22 @@ mod tests {
         assert_eq!(c.checkpoint_interval, 0);
         assert!(c.escalation_threshold.is_none());
         assert!(c.iteration_budget.is_none());
-        assert!(c.is_active());
     }
 
     #[test]
     fn with_deadline_sets_the_iteration_budget() {
         let c = WatchdogConfig::default().with_deadline(25);
         assert_eq!(c.iteration_budget, Some(25));
-        let inactive = WatchdogConfig {
+        // The deadline leaves every other setting as it was.
+        let bare = WatchdogConfig {
             guard_non_finite: false,
             ..WatchdogConfig::default()
         };
-        assert!(!inactive.is_active());
-        assert!(inactive.with_deadline(10).is_active());
+        let timed = WatchdogConfig {
+            iteration_budget: Some(10),
+            ..bare.clone()
+        };
+        assert_eq!(bare.with_deadline(10), timed);
     }
 
     #[test]

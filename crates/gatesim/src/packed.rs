@@ -161,16 +161,6 @@ impl<'a> PackedSimulator<'a> {
             .collect())
     }
 
-    /// Evaluate a full 64-lane word (shorthand for
-    /// [`evaluate_packed`](Self::evaluate_packed) with `lanes = 64`).
-    ///
-    /// # Errors
-    /// Returns [`SimulateError::InputLengthMismatch`] if `inputs` does
-    /// not hold exactly one word per primary input.
-    pub fn evaluate_word(&mut self, inputs: &[u64]) -> Result<Vec<u64>, SimulateError> {
-        self.evaluate_packed(inputs, LANES)
-    }
-
     /// Number of input *patterns* evaluated so far (64 per full word) —
     /// directly comparable to the scalar simulator's
     /// [`evaluations`](crate::Simulator::evaluations) count.

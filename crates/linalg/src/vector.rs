@@ -63,15 +63,6 @@ pub fn dot(ctx: &mut dyn ArithContext, x: &[f64], y: &[f64]) -> f64 {
     ctx.dot_slice(x, y)
 }
 
-/// Accumulate `y += x` in place on the context's datapath.
-///
-/// # Panics
-/// Panics if the vectors have different lengths.
-pub fn add_assign(ctx: &mut dyn ArithContext, y: &mut [f64], x: &[f64]) {
-    assert_eq!(x.len(), y.len(), "vector lengths must match");
-    ctx.add_assign_slice(y, x);
-}
-
 /// Accumulate `y += alpha · x` in place on the context's datapath.
 ///
 /// # Panics
@@ -110,12 +101,6 @@ pub fn dist2_exact(x: &[f64], y: &[f64]) -> f64 {
 pub fn dot_exact(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "vector lengths must match");
     x.iter().zip(y).map(|(&a, &b)| a * b).sum()
-}
-
-/// Exact infinity norm max|xᵢ|.
-#[must_use]
-pub fn norm_inf_exact(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |m, &a| m.max(a.abs()))
 }
 
 #[cfg(test)]
@@ -157,8 +142,8 @@ mod tests {
     fn add_assign_accumulates() {
         let mut c = ctx();
         let mut acc = vec![0.0; 3];
-        add_assign(&mut c, &mut acc, &[1.0, 2.0, 3.0]);
-        add_assign(&mut c, &mut acc, &[1.0, 2.0, 3.0]);
+        c.add_assign_slice(&mut acc, &[1.0, 2.0, 3.0]);
+        c.add_assign_slice(&mut acc, &[1.0, 2.0, 3.0]);
         assert_eq!(acc, vec![2.0, 4.0, 6.0]);
         assert_eq!(c.counts().adds, 6);
     }
@@ -167,7 +152,6 @@ mod tests {
     fn exact_norms() {
         assert_eq!(norm2_exact(&[3.0, 4.0]), 5.0);
         assert_eq!(dist2_exact(&[1.0, 1.0], &[4.0, 5.0]), 5.0);
-        assert_eq!(norm_inf_exact(&[-7.0, 3.0]), 7.0);
         assert_eq!(dot_exact(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm2_exact(&[]), 0.0);
     }

@@ -163,8 +163,8 @@ impl<A: LinearOperator> IterativeMethod for ConjugateGradient<A> {
             state
         };
         let ap = self.a.matvec(ctx, &state.p);
-        let rr = ctx.dot(&state.r, &state.r);
-        let pap = ctx.dot(&state.p, &ap);
+        let rr = ctx.dot_slice(&state.r, &state.r);
+        let pap = ctx.dot_slice(&state.p, &ap);
         // audit:allow(taint-branch, degenerate-direction restart deliberately reads fabric state; CG must detect pᵀAp collapse under heavy approximation)
         if pap.abs() < 1e-300 || rr.abs() < 1e-300 {
             // Degenerate direction (possible under heavy approximation):
@@ -180,7 +180,7 @@ impl<A: LinearOperator> IterativeMethod for ConjugateGradient<A> {
         let alpha = rr / pap; // exact scalar division
         let x = vector::axpy(ctx, alpha, &state.p, &state.x);
         let r = vector::axpy(ctx, -alpha, &ap, &state.r);
-        let rr_new = ctx.dot(&r, &r);
+        let rr_new = ctx.dot_slice(&r, &r);
         let beta = rr_new / rr;
         let p = vector::axpy(ctx, beta, &state.p, &r);
         let ax = self.a.matvec_exact(&x);

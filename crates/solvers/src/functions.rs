@@ -3,7 +3,7 @@
 use approx_arith::ArithContext;
 use approx_linalg::Matrix;
 
-/// A twice-differentiable objective `f : ℝⁿ → ℝ`.
+/// A differentiable objective `f : ℝⁿ → ℝ`.
 ///
 /// [`gradient_ctx`](Objective::gradient_ctx) lets an objective compute its
 /// gradient on the approximate datapath (the paper's "direction error");
@@ -23,12 +23,6 @@ pub trait Objective {
     fn gradient_ctx(&self, x: &[f64], ctx: &mut dyn ArithContext) -> Vec<f64> {
         let _ = ctx;
         self.gradient(x)
-    }
-
-    /// Exact Hessian, if available (needed by Newton's method).
-    fn hessian(&self, x: &[f64]) -> Option<Matrix> {
-        let _ = x;
-        None
     }
 }
 
@@ -94,10 +88,6 @@ impl Objective for Quadratic {
         ctx.sub_slice(&ax, &self.b, &mut g);
         g
     }
-
-    fn hessian(&self, _x: &[f64]) -> Option<Matrix> {
-        Some(self.a.clone())
-    }
 }
 
 /// The Rosenbrock function, the classic non-convex banana valley:
@@ -143,17 +133,6 @@ impl Objective for Rosenbrock {
             g[i + 1] += 200.0 * b;
         }
         g
-    }
-
-    fn hessian(&self, x: &[f64]) -> Option<Matrix> {
-        let mut h = Matrix::zeros(self.dim, self.dim);
-        for i in 0..self.dim - 1 {
-            h[(i, i)] += 2.0 - 400.0 * x[i + 1] + 1200.0 * x[i] * x[i];
-            h[(i + 1, i + 1)] += 200.0;
-            h[(i, i + 1)] += -400.0 * x[i];
-            h[(i + 1, i)] += -400.0 * x[i];
-        }
-        Some(h)
     }
 }
 
@@ -212,19 +191,5 @@ mod tests {
         for (a, b) in g.iter().zip(&fd) {
             assert!((a - b).abs() < 1e-4, "{g:?} vs {fd:?}");
         }
-    }
-
-    #[test]
-    fn rosenbrock_hessian_is_symmetric() {
-        let r = Rosenbrock::new(3);
-        let h = r.hessian(&[0.1, 0.2, 0.3]).unwrap();
-        assert!(h.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn quadratic_hessian_is_a() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 2.0]]);
-        let q = Quadratic::new(a.clone(), vec![0.0, 0.0]);
-        assert_eq!(q.hessian(&[1.0, 1.0]).unwrap(), a);
     }
 }

@@ -67,12 +67,6 @@ impl<O: Objective> GradientDescent<O> {
         }
     }
 
-    /// The wrapped objective.
-    #[must_use]
-    pub fn objective_fn(&self) -> &O {
-        &self.objective
-    }
-
     /// The fixed step size α.
     #[must_use]
     pub fn step_size(&self) -> f64 {

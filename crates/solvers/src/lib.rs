@@ -1,8 +1,9 @@
 //! Iterative-method substrate for the ApproxIt reproduction: the
 //! [`IterativeMethod`] abstraction, generic solvers (gradient descent,
-//! Newton's method), the paper's benchmark applications (GMM-EM,
-//! AutoRegression, plus the k-means system of the PID baseline),
-//! deterministic dataset generators, and quality metrics.
+//! conjugate gradient, Jacobi, multigrid), the paper's benchmark
+//! applications (GMM-EM, AutoRegression, plus the k-means system of the
+//! PID baseline), personalized PageRank, deterministic dataset
+//! generators, and quality metrics.
 //!
 //! # Example
 //!
@@ -29,9 +30,7 @@ mod gmm;
 mod gradient_descent;
 mod jacobi;
 mod kmeans;
-mod logistic;
 mod method;
-mod newton;
 mod opmultigrid;
 mod pagerank;
 
@@ -50,9 +49,7 @@ pub use gmm::{GaussianMixture, GmmState};
 pub use gradient_descent::GradientDescent;
 pub use jacobi::Jacobi;
 pub use kmeans::{KMeans, KMeansState};
-pub use logistic::LogisticIrls;
 pub use method::IterativeMethod;
-pub use newton::NewtonMethod;
 pub use opmultigrid::{MgLevel, OperatorMultigrid};
 pub use pagerank::{PersonalizedPageRank, PprState};
 pub use ranges::{

@@ -78,7 +78,7 @@ impl IterativeMethod for LogisticRegression {
         // Gradient accumulation on the (possibly approximate) fabric.
         let mut acc = vec![0.0; w.len()];
         for (x, &y) in self.features.iter().zip(&self.labels) {
-            let margin = ctx.dot(x, w);
+            let margin = ctx.dot_slice(x, w);
             // The sigmoid is transcendental — error-sensitive, exact.
             let coeff = y / (1.0 + (y * margin).exp());
             for (a, &xi) in acc.iter_mut().zip(x) {

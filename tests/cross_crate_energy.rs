@@ -1,7 +1,7 @@
 //! Energy accounting consistency across the stack: gate-level
 //! measurement → per-op profile → context meters → run reports.
 
-use approx_arith::{characterize_adder_energy, Adder, QcsAdder, RippleCarryAdder};
+use approx_arith::{characterize_adder_energy, QcsAdder, RippleCarryAdder};
 use approxit::prelude::*;
 use gatesim::EnergyModel;
 use iter_solvers::datasets::gaussian_blobs;
@@ -100,23 +100,4 @@ fn trace_driven_energy_is_cheaper_than_uniform_for_small_operands() {
     let trace: Vec<(u64, u64)> = (0..256u64).map(|i| (i % 17, i % 13)).collect();
     let traced = approx_arith::characterize_adder_energy_on_trace(&adder, &trace, &model);
     assert!(traced < uniform, "traced {traced} vs uniform {uniform}");
-}
-
-#[test]
-fn qcs_context_records_usable_traces() {
-    let profile = EnergyProfile::from_constants([1.0, 2.0, 3.0, 4.0, 5.0], 50.0, 100.0);
-    let mut ctx = QcsContext::with_profile(profile);
-    ctx.record_trace(64);
-    ctx.set_level(AccuracyLevel::Level2);
-    for i in 0..32 {
-        ctx.add(f64::from(i) * 0.25, 1.5);
-    }
-    let trace = ctx.trace().expect("trace enabled").to_vec();
-    assert_eq!(trace.len(), 32);
-    // The trace can drive the gate-level characterization directly.
-    let adder = QcsAdder::paper_default().at(AccuracyLevel::Level2);
-    let energy =
-        approx_arith::characterize_adder_energy_on_trace(&adder, &trace, &EnergyModel::default());
-    assert!(energy > 0.0);
-    let _ = adder.name();
 }

@@ -13,8 +13,8 @@
 //! from the thread count), and in-order reduction of per-chunk partials.
 
 use approx_arith::{
-    AccuracyLevel, ArithContext, EnergyProfile, LowPartPolicy, OpCounts, QFormat, QcsAdder,
-    QcsContext, ScalarPath,
+    AccuracyLevel, ArithContext, EnergyProfile, LowPartPolicy, OpCounts, Operand, QFormat,
+    QcsAdder, QcsContext, ScalarPath,
 };
 use approx_linalg::{CsrMatrix, Matrix};
 use iter_solvers::datasets::{ar_series, gaussian_blobs};
@@ -98,8 +98,20 @@ fn run_kernels(ctx: &mut dyn ArithContext, seed: u64) -> Run {
     out.extend_from_slice(&buf);
     ctx.axpy_slice(1.25, &xs, &ys, &mut buf);
     out.extend_from_slice(&buf);
+    ctx.sub_slice(&xs, &ys, &mut buf);
+    out.extend_from_slice(&buf);
+    ctx.scale_slice(-0.75, &xs, &mut buf);
+    out.extend_from_slice(&buf);
+    buf.copy_from_slice(&ys);
+    ctx.add_assign_slice(&mut buf, &xs);
+    out.extend_from_slice(&buf);
+    buf.copy_from_slice(&ys);
+    ctx.axpy_assign_slice(&mut buf, 1.25, &xs);
+    out.extend_from_slice(&buf);
     let mut mv = vec![0.0; rows];
     ctx.matvec_slice(&mat, cols, &mx, &mut mv);
+    out.extend_from_slice(&mv);
+    ctx.matvec_operand(&Operand::new(mat), cols, &mx, &mut mv);
     out.extend_from_slice(&mv);
     let mut sv = vec![0.0; spmv_rows];
     ctx.spmv_slice(&values, &col_idx, &row_ptr, &mx, &mut sv);
