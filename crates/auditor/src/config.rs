@@ -20,8 +20,6 @@ pub struct AuditConfig {
     /// Files allowed to spawn threads: the deterministic executor
     /// itself (the `parx` substrate crate).
     pub parallel_home: Vec<String>,
-    /// Files allowed to read the wall clock (bench timing only).
-    pub wall_clock_allow: Vec<String>,
     /// Files forming the service request path: no panics allowed.
     pub panic_free: Vec<String>,
     /// Files exempt from `par-reduce` (the executor's own internals).
@@ -52,7 +50,6 @@ impl AuditConfig {
             root: root.into(),
             result_affecting: own(&["approx-arith", "linalg", "solvers", "core"]),
             parallel_home: own(&["crates/parx/src/lib.rs"]),
-            wall_clock_allow: own(&["crates/bench/src/bin/perf.rs"]),
             panic_free: own(&["crates/core/src/service.rs", "crates/core/src/runner.rs"]),
             reduce_exempt: own(&["crates/parx/src/lib.rs"]),
             suppression_budget: 8,
@@ -102,7 +99,6 @@ mod tests {
         for path in cfg
             .parallel_home
             .iter()
-            .chain(&cfg.wall_clock_allow)
             .chain(&cfg.panic_free)
             .chain(&cfg.reduce_exempt)
             .chain(&cfg.taint_decision_files)

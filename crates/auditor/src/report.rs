@@ -6,8 +6,7 @@
 //! files in sorted path order, violations in (file, line, col, rule)
 //! order, rules in roster order, one violation object per line (which
 //! [`parse_violation_keys`] relies on for baseline diffing). The
-//! renderer is hand-rolled (the auditor is dependency-free), mirroring
-//! the escaping rules of `bench::cli`.
+//! renderer is hand-rolled (the auditor is dependency-free).
 //!
 //! Schema history: `/1` had no `trace` arrays on violations; `/2` added
 //! them for the taint pass. Consumers must call [`check_schema`] first
@@ -430,6 +429,7 @@ mod tests {
         assert!(json.contains("\\\"timing\\\""));
         assert!(json.contains("\"line\": 7"));
         assert!(json.contains("\"clean\": false"));
+        assert_eq!(json_str("a\"b\n"), "\"a\\\"b\\n\"");
     }
 
     #[test]

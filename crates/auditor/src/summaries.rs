@@ -10,12 +10,11 @@
 //! the caller's context is, so the flow is kept symbolic here and
 //! resolved at each call site.
 //!
-//! [`fixpoint`] runs the intraprocedural analysis
-//! ([`Analyzer`](crate::taint::Analyzer)) over every function until no
-//! summary changes. All transfer functions are monotone over the finite
-//! lattice (three-point taint × two 64-bit flow sets), so the iteration
-//! converges; [`MAX_ROUNDS`] is a belt-and-braces cap, not a tuning
-//! knob.
+//! [`fixpoint`] runs the intraprocedural analysis ([`Analyzer`]) over
+//! every function until no summary changes. All transfer functions are
+//! monotone over the finite lattice (three-point taint × two 64-bit
+//! flow sets), so the iteration converges; [`MAX_ROUNDS`] is a
+//! belt-and-braces cap, not a tuning knob.
 
 use std::collections::BTreeMap;
 

@@ -74,9 +74,9 @@ fn wall_clock_fixture_is_caught() {
     let src = include_str!("fixtures/wall_clock.rs");
     let report = audit_at("crates/linalg/src/planted.rs", src);
     assert_eq!(spans(&report), [("wall-clock", 3), ("wall-clock", 6)]);
-    // The same source is legal in an allowlisted bench timing file.
-    let allowed = audit_at("crates/bench/src/bin/perf.rs", src);
-    assert!(allowed.violations.is_empty());
+    // No file is exempt: a bench binary gets the same findings.
+    let bench = audit_at("crates/bench/src/bin/perf.rs", src);
+    assert_eq!(spans(&bench), [("wall-clock", 3), ("wall-clock", 6)]);
 }
 
 #[test]

@@ -139,15 +139,18 @@ fn break_netlist(nl: &Netlist, kind: GateKind, replacement: GateKind) -> Netlist
 }
 
 /// Exhaustive netlist-vs-netlist error statistics over every input
-/// assignment: `(error_rate, worst_case_abs_error)` with outputs read as
-/// unsigned words in output order.
-fn exhaustive_netlist_error(approx: &Netlist, exact: &Netlist) -> (f64, u64) {
+/// assignment: `(error_rate, worst_case_abs_error, worst_case_ring_error)`
+/// with outputs read as unsigned words in output order, the ring error
+/// taken modulo `2^outputs`.
+fn exhaustive_netlist_error(approx: &Netlist, exact: &Netlist) -> (f64, u64, u64) {
     let n = approx.num_inputs();
     assert!(n <= 20, "exhaustive sweep limited to 20 inputs");
+    let modulus = 1u64 << approx.num_outputs();
     let mut sim_a = Simulator::new(approx);
     let mut sim_e = Simulator::new(exact);
     let mut errors = 0u64;
     let mut wce = 0u64;
+    let mut ring = 0u64;
     let total = 1u64 << n;
     for x in 0..total {
         let inputs: Vec<bool> = (0..n).map(|i| (x >> i) & 1 == 1).collect();
@@ -163,8 +166,10 @@ fn exhaustive_netlist_error(approx: &Netlist, exact: &Netlist) -> (f64, u64) {
             errors += 1;
         }
         wce = wce.max(va.abs_diff(ve));
+        let wrapped = va.wrapping_sub(ve) & (modulus - 1);
+        ring = ring.max(wrapped.min(modulus - wrapped));
     }
-    (errors as f64 / total as f64, wce)
+    (errors as f64 / total as f64, wce, ring)
 }
 
 fn lint_stage(c: &mut Checker) {
@@ -261,12 +266,13 @@ fn error_bound_stage(c: &mut Checker) {
         let (nl, ports) = adder.netlist();
         let reference = exact_reference(&ports);
         let bound = equiv::error_bound(&nl, &reference).expect("BDD fits");
-        let (swept_rate, swept_wce) = exhaustive_netlist_error(&nl, &reference);
+        let (swept_rate, swept_wce, swept_ring) = exhaustive_netlist_error(&nl, &reference);
         let rate_matches = (bound.error_rate - swept_rate).abs() < 1e-12;
         let wce_matches = bound.max_abs_error == swept_wce;
+        let ring_matches = bound.max_ring_error == swept_ring;
         c.check(
             &format!("BDD counting == exhaustive sweep for {}", adder.name()),
-            rate_matches && wce_matches,
+            rate_matches && wce_matches && ring_matches,
             &format!(
                 "ER {:.6} (swept {:.6}), WCE {} (swept {})",
                 bound.error_rate, swept_rate, bound.max_abs_error, swept_wce

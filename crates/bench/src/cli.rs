@@ -11,16 +11,18 @@
 //!
 //! Binary-specific flags stay with the binary: [`BenchOpts`] strips the
 //! shared flags and hands the remainder back via [`BenchOpts::rest`],
-//! with [`BenchOpts::flag_value`] / [`BenchOpts::has_flag`] for the
-//! common look-ups. [`BenchOpts::parse_for`] names the flags a binary
-//! takes, so a misspelt one stops the run instead of being ignored.
-//! [`Checker`] is the pass/fail accountant the verification-style
-//! binaries (`verify`, `guarantee`, `perf`) share; it honors `--quiet`
-//! and renders the `--json` summary.
+//! with [`BenchOpts::flag_value`] for the common look-up.
+//! [`BenchOpts::parse_for`] names the flags a binary takes, so a
+//! misspelt one stops the run instead of being ignored. [`Checker`] is
+//! the pass/fail accountant the verification-style binaries (`verify`,
+//! `guarantee`) share; it honors `--quiet` and renders the `--json`
+//! summary.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+use auditor::report::json_str;
 
 /// The shared housekeeping options, plus the binary-specific remainder.
 #[derive(Debug, Clone, Default)]
@@ -124,12 +126,6 @@ impl BenchOpts {
         &self.rest
     }
 
-    /// Whether a bare binary-specific flag is present in [`rest`](Self::rest).
-    #[must_use]
-    pub fn has_flag(&self, name: &str) -> bool {
-        self.rest.iter().any(|a| a == name)
-    }
-
     /// The value following a binary-specific `--flag value` pair in
     /// [`rest`](Self::rest), if present.
     #[must_use]
@@ -145,59 +141,6 @@ impl BenchOpts {
     pub fn say(&self, message: &str) {
         if !self.quiet {
             println!("{message}");
-        }
-    }
-}
-
-/// A flat JSON value for the `--json` summaries (the workspace is
-/// hermetic — no serde).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A boolean.
-    Bool(bool),
-    /// An unsigned integer.
-    UInt(u64),
-    /// A float, rendered with full round-trip precision.
-    Num(f64),
-    /// A string (escaped on render).
-    Str(String),
-}
-
-impl JsonValue {
-    fn render(&self, out: &mut String) {
-        match self {
-            Self::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Self::UInt(u) => {
-                let _ = write!(out, "{u}");
-            }
-            Self::Num(n) if n.is_finite() => {
-                let _ = write!(out, "{n:?}");
-            }
-            // JSON has no NaN/Inf literal.
-            Self::Num(_) => out.push_str("null"),
-            Self::Str(s) => {
-                out.push('"');
-                escape_into(s, out);
-                out.push('"');
-            }
-        }
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
@@ -248,50 +191,31 @@ impl Checker {
         }
     }
 
-    /// Checks that passed so far.
-    #[must_use]
-    pub fn passed(&self) -> usize {
-        self.passed
-    }
-
-    /// Checks that failed so far.
-    #[must_use]
-    pub fn failed(&self) -> usize {
-        self.failed
-    }
-
     /// The full summary as a JSON object (check list plus totals).
-    #[must_use]
-    pub fn to_json(&self, title: &str) -> String {
+    fn to_json(&self, title: &str) -> String {
         let mut checks = String::from("[");
         for (i, (name, ok, detail)) in self.records.iter().enumerate() {
             if i > 0 {
                 checks.push_str(", ");
             }
-            let mut entry = String::from("{\"name\": ");
-            JsonValue::Str(name.clone()).render(&mut entry);
-            let _ = write!(entry, ", \"ok\": {ok}, \"detail\": ");
-            JsonValue::Str(detail.clone()).render(&mut entry);
-            entry.push('}');
-            checks.push_str(&entry);
+            let _ = write!(
+                checks,
+                "{{\"name\": {}, \"ok\": {ok}, \"detail\": {}}}",
+                json_str(name),
+                json_str(detail)
+            );
         }
         checks.push(']');
-        let mut out = String::from("{");
-        let _ = write!(out, "\"suite\": ");
-        JsonValue::Str(title.to_owned()).render(&mut out);
-        let _ = writeln!(
-            out,
-            ", \"passed\": {}, \"failed\": {}, \"checks\": {checks}}}",
-            self.passed, self.failed
-        );
-        out
+        format!(
+            "{{\"suite\": {}, \"passed\": {}, \"failed\": {}, \"checks\": {checks}}}\n",
+            json_str(title),
+            self.passed,
+            self.failed
+        )
     }
 
     /// Write the JSON summary to `path`.
-    ///
-    /// # Errors
-    /// Propagates the I/O error when the file cannot be written.
-    pub fn write_json(&self, title: &str, path: &Path) -> std::io::Result<()> {
+    fn write_json(&self, title: &str, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json(title))
     }
 
@@ -332,7 +256,6 @@ mod tests {
         assert!(opts.quiet);
         assert_eq!(opts.json.as_deref(), Some(Path::new("out.json")));
         assert_eq!(opts.rest(), &["--part", "a", "--csv"]);
-        assert!(opts.has_flag("--csv"));
         assert_eq!(opts.flag_value("--part"), Some("a"));
         assert_eq!(opts.flag_value("--csv"), None);
         assert_eq!(opts.seed_or(7), 42);
@@ -358,7 +281,7 @@ mod tests {
     #[test]
     fn only_the_flags_a_binary_names_pass_the_check() {
         let check = |list: &[&str]| {
-            BenchOpts::from_args_for("perf", &["--smoke", "--full"], &["--baseline"], args(list))
+            BenchOpts::from_args_for("demo", &["--smoke", "--full"], &["--baseline"], args(list))
                 .map(|opts| opts.rest)
         };
         assert_eq!(check(&[]), Ok(vec![]));
@@ -377,24 +300,24 @@ mod tests {
         );
         assert_eq!(
             check(&["--smokee"]),
-            Err("perf: unknown flag --smokee".to_owned())
+            Err("demo: unknown flag --smokee".to_owned())
         );
         assert_eq!(
             check(&["--smoke", "extra"]),
-            Err("perf: unknown flag extra".to_owned())
+            Err("demo: unknown flag extra".to_owned())
         );
         assert_eq!(
             check(&["--baselin", "b.json"]),
-            Err("perf: unknown flag --baselin".to_owned())
+            Err("demo: unknown flag --baselin".to_owned())
         );
         assert_eq!(
             check(&["--smoke", "--baseline"]),
-            Err("perf: --baseline requires a value".to_owned())
+            Err("demo: --baseline requires a value".to_owned())
         );
         // A malformed shared flag is an error of the same binary.
         assert_eq!(
             check(&["--seed", "x"]),
-            Err("perf: --seed expects an unsigned integer, got x".to_owned())
+            Err("demo: --seed expects an unsigned integer, got x".to_owned())
         );
         let none = BenchOpts::from_args_for("guarantee", &[], &[], args(&["-q", "--bogus"]));
         assert_eq!(
@@ -408,25 +331,10 @@ mod tests {
         let mut c = Checker::new(true);
         c.check("alpha", true, "fine");
         c.check("beta", false, "broke \"here\"");
-        assert_eq!(c.passed(), 1);
-        assert_eq!(c.failed(), 1);
+        assert_eq!((c.passed, c.failed), (1, 1));
         let json = c.to_json("suite");
         assert!(json.contains("\"suite\": \"suite\""));
         assert!(json.contains("\"passed\": 1, \"failed\": 1"));
         assert!(json.contains("\\\"here\\\""));
-    }
-
-    #[test]
-    fn json_objects_escape_and_render() {
-        let text = |value: JsonValue| {
-            let mut out = String::new();
-            value.render(&mut out);
-            out
-        };
-        assert_eq!(text(JsonValue::Str("a\"b\n".into())), "\"a\\\"b\\n\"");
-        assert_eq!(text(JsonValue::UInt(3)), "3");
-        assert_eq!(text(JsonValue::Num(0.5)), "0.5");
-        assert_eq!(text(JsonValue::Num(f64::NAN)), "null");
-        assert_eq!(text(JsonValue::Bool(true)), "true");
     }
 }

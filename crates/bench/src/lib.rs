@@ -9,7 +9,6 @@
 //! | `verify`  | formal pipeline: lint, BDD equivalence proofs, exact error characterization, static range analysis |
 //! | `guarantee` | static quality-guarantee proofs: controller model checking (+ symbolic BDD cross-check), error-propagation × contraction recurrence, dominance over the measured characterization table |
 //! | `resilience` | fault campaign: quality vs fault rate under the runner watchdog |
-//! | `perf`    | packed-vs-scalar cross-check + exhaustive-sweep speedup measurement |
 //! | `chaos`   | solver-service chaos campaign: invariants under composed faults |
 //! | `audit`   | workspace determinism & hermeticity audit (the CI lint gate) |
 //!

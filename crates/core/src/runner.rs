@@ -71,7 +71,7 @@ impl<'a, M: IterativeMethod, C: ArithContext> RunConfig<'a, M, C> {
         }
     }
 
-    /// Replace the watchdog configuration (see [`crate::watchdog`]).
+    /// Replace the watchdog configuration (see [`WatchdogConfig`]).
     #[must_use]
     pub fn with_watchdog(mut self, watchdog: WatchdogConfig) -> Self {
         self.watchdog = watchdog;

@@ -21,11 +21,9 @@
 //! their exact references — [`error_bound`] characterizes the deviation
 //! exactly: the fraction of input vectors with any output mismatch (via
 //! BDD model counting) and the worst-case absolute word error (via
-//! symbolic two's complement arithmetic), without a `2^n` sweep.
-//! [`exhaustive_error_bound`] computes the same statistics by a packed
-//! parallel sweep over all `2^n` vectors — an independent witness for
-//! the symbolic result, and the workhorse behind the measured speedups
-//! in EXPERIMENTS.md.
+//! symbolic two's complement arithmetic), without a `2^n` sweep. Its
+//! brute-force witnesses are scalar sweeps: this module's tests and the
+//! `bench` crate's `verify` binary.
 //!
 //! [`Executor`]: parx::Executor
 //! [`PackedSimulator`]: crate::PackedSimulator
@@ -205,13 +203,6 @@ pub enum ErrorBoundError {
         /// Number of primary outputs.
         bits: usize,
     },
-    /// Too many primary inputs for an exhaustive sweep (only raised by
-    /// [`exhaustive_error_bound`]; the symbolic [`error_bound`] has no
-    /// such limit).
-    InputTooWide {
-        /// Number of primary inputs.
-        inputs: usize,
-    },
     /// A BDD outgrew the node budget.
     NodeLimit(NodeLimitExceeded),
 }
@@ -224,13 +215,6 @@ impl std::fmt::Display for ErrorBoundError {
             }
             ErrorBoundError::OutputTooWide { bits } => {
                 write!(f, "output word of {bits} bits exceeds the 63-bit limit")
-            }
-            ErrorBoundError::InputTooWide { inputs } => {
-                write!(
-                    f,
-                    "{inputs} inputs exceed the exhaustive-sweep ceiling of \
-                     {EXHAUSTIVE_ERROR_CEILING}; use the symbolic error_bound"
-                )
             }
             ErrorBoundError::NodeLimit(e) => write!(f, "{e}"),
         }
@@ -475,136 +459,6 @@ fn exhaustive_mismatch(left: &Netlist, right: &Netlist, exec: &Executor) -> Opti
     hits.into_iter().flatten().min()
 }
 
-/// Largest input count [`exhaustive_error_bound`] will sweep (`2^32`
-/// patterns — minutes of packed parallel simulation, not hours).
-pub const EXHAUSTIVE_ERROR_CEILING: u32 = 32;
-
-/// [`error_bound`] computed by brute force instead of symbolically: a
-/// bit-parallel sweep over all `2^n` input vectors, split across cores.
-///
-/// Returns the same exact statistics as the BDD-based [`error_bound`]
-/// (error rate, worst-case absolute and ring error, and the lowest
-/// input pattern attaining the worst absolute error), so the two
-/// entirely independent engines can be cross-checked against each
-/// other. Deterministic for any thread count.
-///
-/// # Errors
-/// * [`ErrorBoundError::InterfaceMismatch`] if input/output counts differ;
-/// * [`ErrorBoundError::OutputTooWide`] if the circuits have more than 63
-///   outputs;
-/// * [`ErrorBoundError::InputTooWide`] beyond [`EXHAUSTIVE_ERROR_CEILING`]
-///   inputs (use the symbolic [`error_bound`] there).
-pub fn exhaustive_error_bound(
-    approx: &Netlist,
-    exact: &Netlist,
-) -> Result<ErrorBound, ErrorBoundError> {
-    exhaustive_error_bound_with(approx, exact, &Executor::new())
-}
-
-/// Per-chunk partial result of the exhaustive error sweep.
-struct ErrorSweepChunk {
-    mismatches: u64,
-    max_abs: u64,
-    max_ring: u64,
-    witness: u64,
-}
-
-/// [`exhaustive_error_bound`] with an explicit [`Executor`].
-///
-/// # Errors
-/// Same conditions as [`exhaustive_error_bound`].
-pub fn exhaustive_error_bound_with(
-    approx: &Netlist,
-    exact: &Netlist,
-    exec: &Executor,
-) -> Result<ErrorBound, ErrorBoundError> {
-    if approx.num_inputs() != exact.num_inputs() || approx.num_outputs() != exact.num_outputs() {
-        return Err(ErrorBoundError::InterfaceMismatch);
-    }
-    let out_bits = approx.num_outputs();
-    if out_bits > 63 {
-        return Err(ErrorBoundError::OutputTooWide { bits: out_bits });
-    }
-    let n = approx.num_inputs();
-    if n as u32 > EXHAUSTIVE_ERROR_CEILING {
-        return Err(ErrorBoundError::InputTooWide { inputs: n });
-    }
-    let total = 1u64 << n;
-    let modulus = 1u64 << out_bits;
-    let ring_mask = modulus - 1;
-
-    let chunks = exec.map_chunks(total, SWEEP_CHUNK, |start, end| {
-        let mut sim_approx = PackedSimulator::new(approx);
-        let mut sim_exact = PackedSimulator::new(exact);
-        let mut partial = ErrorSweepChunk {
-            mismatches: 0,
-            max_abs: 0,
-            max_ring: 0,
-            witness: 0,
-        };
-        let mut base = start;
-        while base < end {
-            let lanes = usize::try_from(end - base).map_or(LANES, |r| r.min(LANES));
-            let words = exhaustive_input_words(n, base);
-            let out_approx = sim_approx
-                .evaluate_packed(&words, lanes)
-                .expect("interface checked");
-            let out_exact = sim_exact
-                .evaluate_packed(&words, lanes)
-                .expect("interface checked");
-            let mut diff = 0u64;
-            for (a, e) in out_approx.iter().zip(&out_exact) {
-                diff |= a ^ e;
-            }
-            partial.mismatches += u64::from(diff.count_ones());
-            // Gather word values only for mismatching lanes; matching
-            // lanes contribute zero error by definition.
-            let mut remaining = diff;
-            while remaining != 0 {
-                let lane = remaining.trailing_zeros();
-                remaining &= remaining - 1;
-                let mut approx_word = 0u64;
-                let mut exact_word = 0u64;
-                for (o, (aw, ew)) in out_approx.iter().zip(&out_exact).enumerate() {
-                    approx_word |= ((aw >> lane) & 1) << o;
-                    exact_word |= ((ew >> lane) & 1) << o;
-                }
-                let abs = approx_word.abs_diff(exact_word);
-                if abs > partial.max_abs {
-                    partial.max_abs = abs;
-                    partial.witness = base + u64::from(lane);
-                }
-                let wrapped = approx_word.wrapping_sub(exact_word) & ring_mask;
-                partial.max_ring = partial.max_ring.max(wrapped.min(modulus - wrapped));
-            }
-            base += lanes as u64;
-        }
-        partial
-    });
-
-    // In-order fold with a strict `>` update: the witness is the lowest
-    // pattern attaining the global maximum, independent of thread count.
-    let mut mismatches = 0u64;
-    let mut max_abs = 0u64;
-    let mut max_ring = 0u64;
-    let mut witness = 0u64;
-    for chunk in chunks {
-        mismatches += chunk.mismatches;
-        if chunk.max_abs > max_abs {
-            max_abs = chunk.max_abs;
-            witness = chunk.witness;
-        }
-        max_ring = max_ring.max(chunk.max_ring);
-    }
-    let worst_case_inputs: Vec<bool> = (0..n).map(|i| (witness >> i) & 1 == 1).collect();
-    Ok(ErrorBound {
-        error_rate: mismatches as f64 / total as f64,
-        max_abs_error: max_abs,
-        max_ring_error: max_ring,
-        worst_case_inputs,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -763,62 +617,6 @@ mod tests {
         assert_eq!(bound.error_rate, 0.0);
     }
 
-    #[test]
-    fn error_bound_matches_brute_force_on_carry_free_adder() {
-        // Approx: bitwise XOR (drops all carries). Exact: modular add.
-        let width = 3usize;
-        let (exact, ports) = builders::modular_adder(width);
-        let mut approx = Netlist::new();
-        let (a, b) = builders::declare_ab(&mut approx, width);
-        for i in 0..width {
-            let s = approx.xor2(a[i], b[i]);
-            approx.mark_output(s, format!("sum{i}"));
-        }
-
-        let bound = error_bound(&approx, &exact).unwrap();
-
-        // Brute-force reference sweep.
-        let mask = (1u64 << width) - 1;
-        let mut mismatches = 0u64;
-        let mut worst = 0u64;
-        let mut worst_ring = 0u64;
-        let modulus = mask + 1;
-        for x in 0..=mask {
-            for y in 0..=mask {
-                let approx_word = x ^ y;
-                let exact_word = (x + y) & mask;
-                if approx_word != exact_word {
-                    mismatches += 1;
-                }
-                worst = worst.max(approx_word.abs_diff(exact_word));
-                let d = approx_word.wrapping_sub(exact_word) & mask;
-                worst_ring = worst_ring.max(d.min(modulus - d));
-            }
-        }
-        let total = modulus * modulus;
-        assert!((bound.error_rate - mismatches as f64 / total as f64).abs() < 1e-12);
-        assert_eq!(bound.max_abs_error, worst);
-        assert_eq!(bound.max_ring_error, worst_ring);
-
-        // The worst-case witness must reproduce in simulation.
-        let out = Simulator::new(&approx)
-            .evaluate(&bound.worst_case_inputs)
-            .unwrap();
-        let (approx_word, _) = ports.unpack_result(&out);
-        let ref_out = Simulator::new(&exact)
-            .evaluate(&bound.worst_case_inputs)
-            .unwrap();
-        let (exact_word, _) = ports.unpack_result(&ref_out);
-        assert_eq!(approx_word.abs_diff(exact_word), worst);
-    }
-
-    #[test]
-    fn error_bound_rejects_mismatched_interfaces() {
-        let (a, _) = builders::modular_adder(4);
-        let (b, _) = builders::modular_adder(5);
-        assert_eq!(error_bound(&a, &b), Err(ErrorBoundError::InterfaceMismatch));
-    }
-
     /// Bitwise-XOR "adder" (drops every carry) with the same interface
     /// as `modular_adder(width)` — a maximally error-prone approximation.
     fn carry_free_adder(width: usize) -> Netlist {
@@ -832,56 +630,56 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_error_bound_agrees_with_symbolic_engine() {
+    fn error_bound_matches_brute_force_on_carry_free_adder() {
         for width in [3usize, 5, 8] {
-            let (exact, _) = builders::modular_adder(width);
+            let (exact, ports) = builders::modular_adder(width);
             let approx = carry_free_adder(width);
-            let symbolic = error_bound(&approx, &exact).unwrap();
-            let swept = exhaustive_error_bound(&approx, &exact).unwrap();
+            let bound = error_bound(&approx, &exact).unwrap();
+
+            // Brute-force reference sweep.
+            let mask = (1u64 << width) - 1;
+            let mut mismatches = 0u64;
+            let mut worst = 0u64;
+            let mut worst_ring = 0u64;
+            let modulus = mask + 1;
+            for x in 0..=mask {
+                for y in 0..=mask {
+                    let approx_word = x ^ y;
+                    let exact_word = (x + y) & mask;
+                    if approx_word != exact_word {
+                        mismatches += 1;
+                    }
+                    worst = worst.max(approx_word.abs_diff(exact_word));
+                    let d = approx_word.wrapping_sub(exact_word) & mask;
+                    worst_ring = worst_ring.max(d.min(modulus - d));
+                }
+            }
+            let total = modulus * modulus;
             assert!(
-                (swept.error_rate - symbolic.error_rate).abs() < 1e-12,
+                (bound.error_rate - mismatches as f64 / total as f64).abs() < 1e-12,
                 "width {width}"
             );
-            assert_eq!(swept.max_abs_error, symbolic.max_abs_error, "width {width}");
-            assert_eq!(
-                swept.max_ring_error, symbolic.max_ring_error,
-                "width {width}"
-            );
-            // Both witnesses must attain the maximum in simulation.
-            let check_witness = |inputs: &[bool]| {
-                let a_out = Simulator::new(&approx).evaluate(inputs).unwrap();
-                let e_out = Simulator::new(&exact).evaluate(inputs).unwrap();
-                let to_word = |bits: &[bool]| {
-                    bits.iter()
-                        .enumerate()
-                        .fold(0u64, |w, (i, &b)| w | (u64::from(b) << i))
-                };
-                to_word(&a_out).abs_diff(to_word(&e_out))
-            };
-            assert_eq!(check_witness(&swept.worst_case_inputs), swept.max_abs_error);
+            assert_eq!(bound.max_abs_error, worst, "width {width}");
+            assert_eq!(bound.max_ring_error, worst_ring, "width {width}");
+
+            // The worst-case witness must reproduce in simulation.
+            let out = Simulator::new(&approx)
+                .evaluate(&bound.worst_case_inputs)
+                .unwrap();
+            let (approx_word, _) = ports.unpack_result(&out);
+            let ref_out = Simulator::new(&exact)
+                .evaluate(&bound.worst_case_inputs)
+                .unwrap();
+            let (exact_word, _) = ports.unpack_result(&ref_out);
+            assert_eq!(approx_word.abs_diff(exact_word), worst, "width {width}");
         }
     }
 
     #[test]
-    fn exhaustive_error_bound_is_thread_count_invariant() {
-        let (exact, _) = builders::modular_adder(6);
-        let approx = carry_free_adder(6);
-        let serial = exhaustive_error_bound_with(&approx, &exact, &Executor::with_threads(1));
-        for threads in [2usize, 5, 16] {
-            let parallel =
-                exhaustive_error_bound_with(&approx, &exact, &Executor::with_threads(threads));
-            assert_eq!(parallel, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn exhaustive_error_bound_rejects_wide_inputs() {
-        let (a, _) = builders::modular_adder(17); // 34 inputs
-        let (b, _) = builders::modular_adder(17);
-        assert_eq!(
-            exhaustive_error_bound(&a, &b),
-            Err(ErrorBoundError::InputTooWide { inputs: 34 })
-        );
+    fn error_bound_rejects_mismatched_interfaces() {
+        let (a, _) = builders::modular_adder(4);
+        let (b, _) = builders::modular_adder(5);
+        assert_eq!(error_bound(&a, &b), Err(ErrorBoundError::InterfaceMismatch));
     }
 
     #[test]

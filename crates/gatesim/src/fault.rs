@@ -4,7 +4,7 @@
 //! voltage overscaling, particle strikes, and manufacturing defects all
 //! manifest at the netlist level before they become numeric error. This
 //! module models the three classic structural fault classes on top of the
-//! existing [`Simulator`](crate::Simulator) infrastructure:
+//! existing [`Simulator`] infrastructure:
 //!
 //! * **Stuck-at faults** — a net is tied to a constant 0 or 1, modelling
 //!   shorts and opens found by manufacturing test.
@@ -12,7 +12,7 @@
 //!   probability, modelling single-event upsets (SEUs) from particle
 //!   strikes or supply noise.
 //! * **Timing-overscaling faults** — the clock period is set below a
-//!   node's STA arrival time (see [`timing::DelayModel`]), so the node's
+//!   node's STA arrival time (see [`DelayModel`]), so the node's
 //!   register captures the *previous* evaluation's value. This is the
 //!   fault mechanism that voltage/frequency overscaling trades against
 //!   energy, and it reuses the crate's own static timing analysis to

@@ -18,8 +18,8 @@
 //! * [`PackedSimulator`] — the bit-parallel backend: 64 input patterns
 //!   per `u64` word per gate, output- and toggle-identical to
 //!   [`Simulator`], used by every exhaustive sweep in the workspace.
-//! * [`par`] — deterministic scoped-thread executor, re-exported from the
-//!   shared `parx` crate; all parallel sweeps (equivalence checks,
+//! * [`parx::Executor`] — the deterministic scoped-thread executor of
+//!   the shared `parx` crate; all parallel sweeps (equivalence checks,
 //!   fault campaigns, energy traces) are bit-identical to serial runs.
 //! * [`EnergyModel`] — maps toggle counts to (relative) dynamic energy and
 //!   adds a leakage term, using per-gate capacitances proportional to

@@ -18,11 +18,11 @@
 //! pattern ever evaluated is the baseline and contributes no toggle
 //! (`x &= !1` on the first word), matching the scalar convention that
 //! the first `evaluate` call establishes state without charging energy.
-//! Consequently, feeding the same pattern sequence to [`Simulator`] one
-//! at a time and to [`PackedSimulator`] 64 at a time yields *identical
-//! per-node toggle counts*, and therefore identical
-//! [`EnergyModel`](crate::EnergyModel) readings — a property pinned by
-//! the `packed_properties` integration tests.
+//! Consequently, feeding the same pattern sequence to
+//! [`Simulator`](crate::Simulator) one at a time and to
+//! [`PackedSimulator`] 64 at a time yields *identical per-node toggle
+//! counts*, and therefore identical [`EnergyModel`] readings — a
+//! property pinned by the `packed_properties` integration tests.
 //!
 //! # Example
 //!
@@ -303,7 +303,7 @@ pub fn pack_vectors<V: AsRef<[bool]>>(vectors: &[V], num_inputs: usize) -> Vec<u
 /// the vector *preceding* it as a toggle-free baseline, so every
 /// adjacent-vector transition is charged exactly once and the summed
 /// counts are bit-identical to a serial scalar run, for any thread
-/// count (see the determinism rules in [`par`](crate::par)).
+/// count (see the determinism rules of [`Executor`]).
 ///
 /// # Errors
 /// Returns [`SimulateError::InputLengthMismatch`] if any vector's

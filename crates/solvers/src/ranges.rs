@@ -101,7 +101,7 @@ impl Default for CgRangeSpec {
 ///
 /// The scalars α = rr/pap and β = rr'/rr are *declared* inputs: proving
 /// `pap > 0` needs positive-definiteness, which is outside a static
-/// range analysis — the runtime guard in [`ConjugateGradient::step`]
+/// range analysis — the runtime guard in [`ConjugateGradient`]'s `step`
 /// restarts on degenerate directions instead.
 #[must_use]
 pub fn cg_range_model<A: LinearOperator>(
